@@ -252,8 +252,8 @@ func (s *System) MetricsSnapshot() metrics.Snapshot {
 }
 
 // trace records a typed event when tracing is enabled. The payload is a
-// form id plus scalar arguments; formatting is deferred to Events() time so
-// the recording path never calls fmt (see package trace).
+// form id plus scalar arguments; formatting is deferred to read-out (Events,
+// Filter, Format) so the recording path never calls fmt (see package trace).
 func (s *System) trace(c *vclock.CPU, kind trace.Kind, form trace.Form, label string, pid int, a uint64, b int64, str string) {
 	if s.Tracer == nil {
 		return

@@ -434,6 +434,7 @@ func TestDeterministicConcurrentRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		release := s.Eng.Hold()
 		for i := 0; i < 6; i++ {
 			g.Run(0, 4, func(p *guest.Process) {
 				for round := 0; round < 5; round++ {
@@ -445,6 +446,7 @@ func TestDeterministicConcurrentRun(t *testing.T) {
 				}
 			})
 		}
+		release()
 		s.Eng.Wait()
 		return s.Eng.Makespan()
 	}

@@ -74,9 +74,11 @@ func TestPropertyRandomOpsInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				release := s.Eng.Hold()
 				for w := 0; w < 3; w++ {
 					g.Run(0, 8, opScript(seed+int64(w)*100, 60))
 				}
+				release()
 				s.Eng.Wait()
 				return s.Eng.Makespan(), s
 			}

@@ -224,3 +224,60 @@ func TestDiffReportsDivergence(t *testing.T) {
 		t.Fatal("digest divergence not reported")
 	}
 }
+
+// TestTraceDigestPinned pins the baseline trace observables of one seed per
+// backend choice, at the generator's ring capacity and at a 256-event
+// capacity at which all but one of them wrap. The values were recorded
+// with rings allocated at full capacity; any change to the retained window,
+// the drop count, the event order or the digested fields moves them.
+func TestTraceDigestPinned(t *testing.T) {
+	pins := []struct {
+		seed     uint64
+		capacity int // 0: the generator's TraceEvents
+		label    string
+		digest   uint64
+		events   int
+		dropped  int64
+	}{
+		{1, 0, "spt-bm/tlb=256/vcpus=3/cores=0", 0x9afcf3c0b0738f0d, 3005, 0},
+		{1, 256, "spt-bm/tlb=256/vcpus=3/cores=0", 0x2bbbc08a81f1d8fe, 768, 2237},
+		{2, 0, "pvm-nst/tlb=1536/vcpus=1/cores=0", 0xd154645e26509970, 1003, 0},
+		{2, 256, "pvm-nst/tlb=1536/vcpus=1/cores=0", 0x644a681087959c5e, 256, 747},
+		{3, 0, "spt-nst/tlb=64/vcpus=3/cores=0", 0x88e3669ea33957ca, 3938, 0},
+		{3, 256, "spt-nst/tlb=64/vcpus=3/cores=0", 0x2e41898af07c2a7, 768, 3170},
+		{4, 0, "pvm-bm/tlb=256/vcpus=2/cores=0", 0xbaae54ec4f8e7123, 2586, 0},
+		{4, 256, "pvm-bm/tlb=256/vcpus=2/cores=0", 0xa125acfcf5ab6a69, 512, 2074},
+		{6, 0, "ept-bm/tlb=1536/vcpus=2/cores=0", 0x9ada66d719cdb864, 360, 0},
+		{6, 256, "ept-bm/tlb=1536/vcpus=2/cores=0", 0x9ada66d719cdb864, 360, 0},
+		{7, 0, "pvm-direct-nst/tlb=64/vcpus=3/cores=0", 0xd7479bcdd03eedeb, 3721, 0},
+		{7, 256, "pvm-direct-nst/tlb=64/vcpus=3/cores=0", 0xe62daf1d00a38053, 768, 2953},
+		{9, 0, "ept-nst/tlb=256/vcpus=1/cores=1", 0xcd8eadf419337c86, 268, 0},
+		{9, 256, "ept-nst/tlb=256/vcpus=1/cores=1", 0xdb14956936a653dc, 256, 12},
+		{12, 0, "pvm-direct-bm/tlb=64/vcpus=3/cores=0", 0x978637f1f46e7579, 2696, 0},
+		{12, 256, "pvm-direct-bm/tlb=64/vcpus=3/cores=0", 0x145e5c949b15cd26, 768, 1928},
+	}
+	seen := map[string]bool{}
+	for _, pin := range pins {
+		p := Generate(pin.seed)
+		if p.Label != pin.label {
+			t.Fatalf("seed %d: label %q, want %q (generator changed)", pin.seed, p.Label, pin.label)
+		}
+		seen[p.Label[:strings.IndexByte(p.Label, '/')]] = true
+		if pin.capacity > 0 {
+			p.Opt.TraceEvents = pin.capacity
+		}
+		o, err := Run(p, Variant{Name: "baseline"})
+		if err != nil {
+			t.Fatalf("seed %d capacity %d: %v", pin.seed, pin.capacity, err)
+		}
+		if o.Digest != pin.digest || o.Events != pin.events || o.Dropped != pin.dropped {
+			t.Errorf("seed %d capacity %d: digest %#x, %d events, %d dropped; want %#x, %d, %d",
+				pin.seed, pin.capacity, o.Digest, o.Events, o.Dropped, pin.digest, pin.events, pin.dropped)
+		}
+	}
+	for _, b := range backendChoices {
+		if !seen[b.name] {
+			t.Errorf("no pin covers backend %s", b.name)
+		}
+	}
+}

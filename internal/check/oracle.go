@@ -60,7 +60,8 @@ func Capture(s *backend.System) Observation {
 // TraceDigest hashes the raw fields of every event in (time, cpu) order.
 // Hashing the typed payload rather than the formatted Detail keeps the
 // digest independent of presentation changes while still pinning timestamps,
-// event kinds, and every scalar argument.
+// event kinds, and every scalar argument. It walks the buffer's ordered
+// listing in place (EachRaw), so no event is copied or formatted.
 func TraceDigest(b *trace.Buffer) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -72,7 +73,7 @@ func TraceDigest(b *trace.Buffer) uint64 {
 		word(uint64(len(s)))
 		h.Write([]byte(s))
 	}
-	for _, e := range b.Events() {
+	b.EachRaw(func(e *trace.Event) {
 		word(uint64(e.T))
 		word(uint64(e.CPU))
 		word(uint64(e.Kind)<<8 | uint64(e.Form))
@@ -81,7 +82,7 @@ func TraceDigest(b *trace.Buffer) uint64 {
 		word(e.A)
 		word(uint64(e.B))
 		str(e.Str)
-	}
+	})
 	return h.Sum64()
 }
 

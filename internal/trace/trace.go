@@ -5,14 +5,18 @@
 //
 // Recording is designed to stay off the simulation's critical path: events
 // carry typed payloads (a form id plus a few scalar arguments) instead of
-// pre-formatted strings, are appended to per-vCPU rings so concurrent vCPUs
-// never contend on a shared lock, and are only formatted and merged into a
-// single (time, cpu)-ordered listing when Events is called.
+// pre-formatted strings, and are appended to per-vCPU rings so concurrent
+// vCPUs never contend on a shared lock. Reading merges the rings into a
+// single (time, cpu)-ordered listing; only Events, Filter and Format format
+// the events they return, and EachRaw walks the ordered listing without
+// formatting or copying it. Every cost scales with the events recorded, not
+// with the rings' capacity.
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,8 +52,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Form selects the detail template of a typed event. Formatting happens at
-// Events() time; the recording path never calls fmt.
+// Form selects the detail template of a typed event. Formatting happens when
+// events are read out (Events, Filter, Format); the recording path never
+// calls fmt.
 type Form uint8
 
 const (
@@ -72,8 +77,8 @@ const (
 )
 
 // Event is one recorded simulator event. Typed events (Form != FormRaw)
-// carry their arguments in Label/PID/A/B/Str; Detail is filled in when the
-// event is snapshotted by Events.
+// carry their arguments in Label/PID/A/B/Str; Detail is filled in on the
+// copies Events and Filter return.
 type Event struct {
 	T      int64 // virtual ns at which the event was recorded
 	CPU    int   // vCPU id
@@ -124,51 +129,59 @@ func (e *Event) format() string {
 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("%12d ns  cpu%-3d %-10s %s", e.T, e.CPU, e.Kind, e.Detail)
+	return fmt.Sprintf("%12d ns  cpu%-3d %-10s %s", e.T, e.CPU, e.Kind, e.format())
 }
 
 // ring is one vCPU's bounded event buffer. A vCPU records from a single
 // goroutine, but the ring keeps its own mutex so the Buffer API stays safe
-// for arbitrary callers (and for Events snapshotting concurrently).
+// for arbitrary callers (and for snapshots taken concurrently).
 type ring struct {
 	mu      sync.Mutex
-	ev      []Event // full capacity, allocated on first use
-	next    int     // slot the next event is written to
-	count   int     // live events, <= len(ev)
+	ev      []Event // grows by append up to capacity, then wraps
+	next    int     // once full: the oldest slot, overwritten next
 	dropped int64
 }
 
 func (r *ring) add(ev Event, capacity int) {
 	r.mu.Lock()
-	if r.ev == nil {
-		r.ev = make([]Event, capacity)
-	}
-	r.ev[r.next] = ev
-	r.next = (r.next + 1) % len(r.ev)
-	if r.count < len(r.ev) {
-		r.count++
+	if n := len(r.ev); n < capacity {
+		if n == cap(r.ev) {
+			// Double, but never past capacity: a full ring holds
+			// exactly capacity events.
+			r.ev = append(make([]Event, 0, min(max(2*n, 16), capacity)), r.ev...)
+		}
+		r.ev = append(r.ev, ev)
 	} else {
+		r.ev[r.next] = ev
+		r.next = (r.next + 1) % n
 		r.dropped++
 	}
 	r.mu.Unlock()
 }
 
-// appendTo copies the ring's live events, oldest first, onto dst.
+// size returns the number of live events.
+func (r *ring) size() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.ev)
+}
+
+// appendTo copies the ring's live events, oldest first, onto dst. Until the
+// ring first wraps next is 0, so this is its insertion order.
 func (r *ring) appendTo(dst []Event) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.count == len(r.ev) {
-		dst = append(dst, r.ev[r.next:]...)
-		return append(dst, r.ev[:r.next]...)
-	}
-	return append(dst, r.ev[:r.count]...)
+	dst = append(dst, r.ev[r.next:]...)
+	return append(dst, r.ev[:r.next]...)
 }
 
 // Buffer is a bounded trace: each recording vCPU gets its own ring of up to
 // capacity events (so a run with one vCPU retains exactly the same window a
 // single shared ring would). When a ring is full its oldest events are
-// overwritten and counted as dropped. Ring storage is allocated once per
-// vCPU; recording an event never allocates and never formats.
+// overwritten and counted as dropped. A ring grows with the events recorded
+// on its vCPU, doubling its storage until it reaches capacity; only then
+// does it wrap. Recording an event never formats, and allocates only when a
+// ring below capacity doubles.
 type Buffer struct {
 	capacity int
 
@@ -180,9 +193,9 @@ type Buffer struct {
 	// gen counts Adds; snapshots are invalidated when it moves.
 	gen atomic.Uint64
 
-	// snap is the cached Events() result (sorted, details formatted),
+	// snap is the cached ordered listing (raw: Detail is not formatted),
 	// rebuilt at most once per recorded event (see snapshot). rebuilds
-	// counts how many times the sort+format pass actually ran.
+	// counts how many times the copy+sort pass actually ran.
 	snapMu   sync.Mutex
 	snap     []Event
 	snapGen  uint64
@@ -246,16 +259,15 @@ func (b *Buffer) Len() int {
 	defer b.mu.RUnlock()
 	var n int
 	for _, r := range b.rings {
-		r.mu.Lock()
-		n += r.count
-		r.mu.Unlock()
+		n += r.size()
 	}
 	return n
 }
 
-// snapshot returns the retained events sorted by (virtual time, cpu) with
-// Detail formatted, rebuilding only when events were recorded since the last
-// call. Callers must not mutate the result.
+// snapshot returns the retained events sorted by (virtual time, cpu),
+// rebuilding only when events were recorded since the last call. Detail is
+// left as recorded: typed events are formatted by the readers that return
+// them. Callers must not mutate the result.
 func (b *Buffer) snapshot() []Event {
 	b.snapMu.Lock()
 	defer b.snapMu.Unlock()
@@ -268,8 +280,12 @@ func (b *Buffer) snapshot() []Event {
 	for cpu := range b.rings {
 		cpus = append(cpus, cpu)
 	}
-	sort.Ints(cpus)
-	out := make([]Event, 0, len(cpus)*b.capacity)
+	slices.Sort(cpus)
+	var n int
+	for _, cpu := range cpus {
+		n += b.rings[cpu].size()
+	}
+	out := make([]Event, 0, n)
 	for _, cpu := range cpus {
 		out = b.rings[cpu].appendTo(out)
 	}
@@ -277,17 +293,12 @@ func (b *Buffer) snapshot() []Event {
 	// Stable sort keyed on (T, CPU): per-ring insertion order — which is
 	// each vCPU's own recording order — breaks exact (T, CPU) ties, the
 	// same order the historical single-ring implementation produced.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
+	slices.SortStableFunc(out, func(x, y Event) int {
+		if c := cmp.Compare(x.T, y.T); c != 0 {
+			return c
 		}
-		return out[i].CPU < out[j].CPU
+		return cmp.Compare(x.CPU, y.CPU)
 	})
-	for i := range out {
-		if out[i].Form != FormRaw {
-			out[i].Detail = out[i].format()
-		}
-	}
 	b.snap = out
 	b.snapGen = gen
 	b.snapOK = true
@@ -295,12 +306,24 @@ func (b *Buffer) snapshot() []Event {
 	return out
 }
 
-// Events returns the retained events sorted by (virtual time, cpu).
+// Events returns the retained events sorted by (virtual time, cpu), with
+// Detail formatted.
 func (b *Buffer) Events() []Event {
-	snap := b.snapshot()
-	out := make([]Event, len(snap))
-	copy(out, snap)
+	out := slices.Clone(b.snapshot())
+	for i := range out {
+		out[i].Detail = out[i].format()
+	}
 	return out
+}
+
+// EachRaw calls fn for every retained event in Events order, without
+// copying the listing or formatting Detail (typed events keep only their
+// operands). fn must not mutate or retain e.
+func (b *Buffer) EachRaw(fn func(e *Event)) {
+	snap := b.snapshot()
+	for i := range snap {
+		fn(&snap[i])
+	}
 }
 
 // Filter returns the retained events of one kind, in time order. The sorted
@@ -310,6 +333,7 @@ func (b *Buffer) Filter(kind Kind) []Event {
 	var out []Event
 	for _, ev := range b.snapshot() {
 		if ev.Kind == kind {
+			ev.Detail = ev.format()
 			out = append(out, ev)
 		}
 	}

@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +72,8 @@ func TestFormat(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdd records from eight vCPUs at once, growing their rings,
+// while a reader takes snapshots.
 func TestConcurrentAdd(t *testing.T) {
 	b := NewBuffer(1024)
 	var wg sync.WaitGroup
@@ -80,9 +86,25 @@ func TestConcurrentAdd(t *testing.T) {
 			}
 		}(i)
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			n := 0
+			b.EachRaw(func(*Event) { n++ })
+			if n > 800 {
+				t.Errorf("snapshot holds %d events, more than were recorded", n)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	<-done
 	if b.Len() != 800 {
 		t.Errorf("len = %d, want 800", b.Len())
+	}
+	if n := len(b.Events()); n != 800 {
+		t.Errorf("events = %d, want 800", n)
 	}
 }
 
@@ -97,6 +119,7 @@ func TestSnapshotReuse(t *testing.T) {
 		b.CountByKind()
 		b.Format(0)
 		b.Events()
+		b.EachRaw(func(*Event) {})
 	}
 	if b.rebuilds != 1 {
 		t.Fatalf("rebuilds = %d after repeated queries, want 1", b.rebuilds)
@@ -141,6 +164,11 @@ func TestTypedFormatting(t *testing.T) {
 			t.Errorf("form %d: detail = %q, want %q", c.ev.Form, evs[i].Detail, c.want)
 		}
 	}
+	b.EachRaw(func(e *Event) {
+		if e.Detail != "" {
+			t.Errorf("form %d: EachRaw formatted the event: %q", e.Form, e.Detail)
+		}
+	})
 }
 
 // TestPerCPURings checks that the per-vCPU rings merge into the same
@@ -184,4 +212,128 @@ func TestZeroCapacityPanics(t *testing.T) {
 		}
 	}()
 	NewBuffer(0)
+}
+
+// reference is the retention model of rings allocated at full capacity:
+// per vCPU the newest capacity events, concatenated in cpu order and
+// stable-sorted by (T, CPU), plus the count of older events dropped.
+func reference(perCPU [][]Event, capacity int) ([]Event, int64) {
+	var out []Event
+	var dropped int64
+	for _, evs := range perCPU {
+		if len(evs) > capacity {
+			dropped += int64(len(evs) - capacity)
+			evs = evs[len(evs)-capacity:]
+		}
+		out = append(out, evs...)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].T != out[j].T {
+			return out[i].T < out[j].T
+		}
+		return out[i].CPU < out[j].CPU
+	})
+	return out, dropped
+}
+
+// checkAgainst compares b's retained events, in both the Events and the
+// EachRaw order, and the drop count with the reference model of what was
+// added to it. Events carry their insertion index in A.
+func checkAgainst(t *testing.T, name string, b *Buffer, perCPU [][]Event, capacity int) {
+	t.Helper()
+	want, dropped := reference(perCPU, capacity)
+	if got := b.Dropped(); got != dropped {
+		t.Fatalf("%s: dropped = %d, want %d", name, got, dropped)
+	}
+	if got := b.Len(); got != len(want) {
+		t.Fatalf("%s: len = %d, want %d", name, got, len(want))
+	}
+	var raw []Event
+	b.EachRaw(func(e *Event) { raw = append(raw, *e) })
+	for reader, evs := range map[string][]Event{"Events": b.Events(), "EachRaw": raw} {
+		if len(evs) != len(want) {
+			t.Fatalf("%s: %s returned %d events, want %d", name, reader, len(evs), len(want))
+		}
+		for i, w := range want {
+			if evs[i].T != w.T || evs[i].CPU != w.CPU || evs[i].A != w.A {
+				t.Fatalf("%s: %s[%d] = (T %d, cpu %d, #%d), want (T %d, cpu %d, #%d)",
+					name, reader, i, evs[i].T, evs[i].CPU, evs[i].A, w.T, w.CPU, w.A)
+			}
+		}
+	}
+}
+
+// TestGrowThenWrap checks that a ring growing on demand retains the same
+// window, in the same order, with the same drop count as a ring allocated at
+// full capacity, below, at and past capacity.
+func TestGrowThenWrap(t *testing.T) {
+	for _, capacity := range []int{4, 1 << 15} {
+		for _, n := range []int{1, capacity - 1, capacity, capacity + 1, 2*capacity + 3} {
+			b := NewBuffer(capacity)
+			perCPU := make([][]Event, 2)
+			add := func(ev Event) {
+				ev.A = uint64(len(perCPU[0]) + len(perCPU[1]))
+				b.Add(ev)
+				perCPU[ev.CPU] = append(perCPU[ev.CPU], ev)
+			}
+			for i := 0; i < n; i++ {
+				add(Event{T: int64(i), CPU: 0, Kind: KindSwitch})
+				if i%3 == 0 {
+					add(Event{T: int64(i), CPU: 1, Kind: KindFault})
+				}
+			}
+			checkAgainst(t, fmt.Sprintf("capacity %d, %d events", capacity, n), b, perCPU, capacity)
+		}
+	}
+}
+
+// TestOrderMatchesReference checks random interleaved multi-vCPU inputs,
+// rich in equal-T ties within and across vCPUs, against the reference
+// model. Even trials record each vCPU's events in time order, as the
+// simulator does; odd trials record them out of order.
+func TestOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.Intn(40)
+		cpus := 1 + rng.Intn(5)
+		b := NewBuffer(capacity)
+		perCPU := make([][]Event, cpus)
+		clock := make([]int64, cpus)
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			cpu := rng.Intn(cpus)
+			clock[cpu] += int64(rng.Intn(3))
+			ev := Event{T: clock[cpu], CPU: cpu, A: uint64(i)}
+			if trial%2 == 1 {
+				ev.T = int64(rng.Intn(30))
+			}
+			b.Add(ev)
+			perCPU[cpu] = append(perCPU[cpu], ev)
+		}
+		checkAgainst(t, fmt.Sprintf("trial %d", trial), b, perCPU, capacity)
+	}
+}
+
+// TestAllocProportionalToEvents checks that a large-capacity buffer costs
+// memory in proportion to the events recorded: ten events in a 32k-event
+// ring, then an ordered walk over them, must not allocate the ring's
+// capacity (3 MiB of Events).
+func TestAllocProportionalToEvents(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewBuffer(1 << 15)
+	for i := 0; i < 10; i++ {
+		b.Add(Event{T: int64(i), CPU: i % 2, Kind: KindFault, Form: FormGuestFault, Label: "vm0", A: uint64(i)})
+	}
+	n := 0
+	b.EachRaw(func(*Event) { n++ })
+	runtime.ReadMemStats(&after)
+	if n != 10 {
+		t.Fatalf("walked %d events, want 10", n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("10 events allocated %d bytes, want O(events) (< 64 KiB)", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.EachRaw(func(*Event) {}) }); allocs != 0 {
+		t.Fatalf("EachRaw over a cached snapshot allocated %.0f times, want 0", allocs)
+	}
 }

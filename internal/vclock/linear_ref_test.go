@@ -14,6 +14,7 @@ type linEngine struct {
 	cpus  []*linCPU
 	cores int
 	wg    sync.WaitGroup
+	start chan struct{} // armed by hold: launched vCPUs wait for it
 }
 
 type linCPU struct {
@@ -68,15 +69,34 @@ func (c *linCPU) flushLazyLocked() {
 	c.lazy = 0
 }
 
+// hold is Engine.Hold: vCPUs launched until release is called are admitted
+// at once but start running only after it.
+func (e *linEngine) hold() (release func()) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ch := make(chan struct{})
+	e.start = ch
+	return func() {
+		e.mu.Lock()
+		e.start = nil
+		e.mu.Unlock()
+		close(ch)
+	}
+}
+
 func (e *linEngine) goCPU(start int64, fn func(c *linCPU)) {
 	e.mu.Lock()
 	c := &linCPU{id: len(e.cpus), e: e, now: start, runnable: true, wake: make(chan struct{}, 1)}
 	e.cpus = append(e.cpus, c)
 	e.signalMinLocked()
+	hold := e.start
 	e.mu.Unlock()
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
+		if hold != nil {
+			<-hold
+		}
 		fn(c)
 		e.mu.Lock()
 		c.flushLazyLocked()

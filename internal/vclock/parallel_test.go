@@ -21,6 +21,7 @@ func runParallelStress(seed int64, cores, workers int) ([]stressEvent, int64) {
 	}
 	var logMu sync.Mutex
 	var log []stressEvent
+	release := e.Hold()
 	for i := 0; i < stressCPUs; i++ {
 		id := i
 		e.Go(0, func(c *CPU) {
@@ -40,6 +41,7 @@ func runParallelStress(seed int64, cores, workers int) ([]stressEvent, int64) {
 			})
 		})
 	}
+	release()
 	e.Wait()
 	if err := e.Audit(); err != nil {
 		panic(err)

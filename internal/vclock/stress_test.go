@@ -79,6 +79,9 @@ func runHeapStress(seed int64, cores int) []stressEvent {
 	}
 	var logMu sync.Mutex
 	var log []stressEvent
+	// Admit every vCPU before any runs, so the schedule cannot depend on
+	// how far an early vCPU gets before a later one joins the heap.
+	release := e.Hold()
 	for i := 0; i < stressCPUs; i++ {
 		id := i
 		e.Go(0, func(c *CPU) {
@@ -98,6 +101,7 @@ func runHeapStress(seed int64, cores int) []stressEvent {
 			})
 		})
 	}
+	release()
 	e.Wait()
 	return log
 }
@@ -110,6 +114,7 @@ func runLinearStress(seed int64, cores int) []stressEvent {
 	}
 	var logMu sync.Mutex
 	var log []stressEvent
+	release := e.hold()
 	for i := 0; i < stressCPUs; i++ {
 		id := i
 		e.goCPU(0, func(c *linCPU) {
@@ -129,6 +134,7 @@ func runLinearStress(seed int64, cores int) []stressEvent {
 			})
 		})
 	}
+	release()
 	e.wait()
 	return log
 }

@@ -22,12 +22,14 @@ func TestAdvanceAccumulates(t *testing.T) {
 }
 
 func TestMinClockOrdering(t *testing.T) {
-	// Two CPUs append to a shared trace; the engine must order appends by
-	// (virtual time, id) regardless of goroutine scheduling.
+	// Two CPUs append to a shared trace; once both are admitted under Hold,
+	// the engine must order appends by (virtual time, id) regardless of
+	// goroutine scheduling.
 	for trial := 0; trial < 20; trial++ {
 		e := NewEngine()
 		var mu sync.Mutex
 		var trace []int
+		release := e.Hold()
 
 		log := func(c *CPU, tag int) {
 			c.Sync()
@@ -48,6 +50,7 @@ func TestMinClockOrdering(t *testing.T) {
 			c.Advance(40)
 			log(c, 4) // t=60
 		})
+		release()
 		e.Wait()
 
 		want := []int{1, 2, 3, 4}
@@ -63,6 +66,7 @@ func TestLockSerializes(t *testing.T) {
 	e := NewEngine()
 	l := e.NewLock("mmu")
 	// Three CPUs each hold the lock for 100ns starting at t=0.
+	release := e.Hold()
 	for i := 0; i < 3; i++ {
 		e.Go(0, func(c *CPU) {
 			l.Acquire(c)
@@ -70,6 +74,7 @@ func TestLockSerializes(t *testing.T) {
 			l.Release(c)
 		})
 	}
+	release()
 	e.Wait()
 	if got := e.Makespan(); got != 300 {
 		t.Fatalf("makespan = %d, want 300 (serialized)", got)
@@ -114,6 +119,7 @@ func TestLockHandoffOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 
+	release := e.Hold()
 	e.Go(0, func(c *CPU) { // holder: holds [0, 500)
 		l.Acquire(c)
 		c.Advance(500)
@@ -137,6 +143,7 @@ func TestLockHandoffOrder(t *testing.T) {
 		c.Advance(10)
 		l.Release(c)
 	})
+	release()
 	e.Wait()
 	if len(order) != 2 || order[0] != "B" || order[1] != "A" {
 		t.Fatalf("handoff order = %v, want [B A]", order)
@@ -152,11 +159,13 @@ func TestComputeDilation(t *testing.T) {
 	e.SetCores(2)
 	// Four CPUs each need 100ns of compute on 2 cores: everything dilates
 	// 2x while all four are runnable.
+	release := e.Hold()
 	for i := 0; i < 4; i++ {
 		e.Go(0, func(c *CPU) {
 			c.Compute(100)
 		})
 	}
+	release()
 	e.Wait()
 	if got := e.Makespan(); got != 200 {
 		t.Fatalf("makespan = %d, want 200 (2x dilation)", got)
@@ -179,6 +188,7 @@ func TestDeterministicMakespan(t *testing.T) {
 	run := func() int64 {
 		e := NewEngine()
 		shared := e.NewLock("shared")
+		release := e.Hold()
 		for i := 0; i < 6; i++ {
 			step := int64(i%3 + 1)
 			e.Go(0, func(c *CPU) {
@@ -190,6 +200,7 @@ func TestDeterministicMakespan(t *testing.T) {
 				}
 			})
 		}
+		release()
 		e.Wait()
 		return e.Makespan()
 	}
@@ -205,6 +216,7 @@ func TestLockStatsDeterministic(t *testing.T) {
 	run := func() LockStats {
 		e := NewEngine()
 		l := e.NewLock("s")
+		release := e.Hold()
 		for i := 0; i < 5; i++ {
 			e.Go(int64(i), func(c *CPU) {
 				for k := 0; k < 20; k++ {
@@ -215,6 +227,7 @@ func TestLockStatsDeterministic(t *testing.T) {
 				}
 			})
 		}
+		release()
 		e.Wait()
 		return l.Stats()
 	}
