@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fuzz bench bench-diff microbench artifacts
+.PHONY: all build test check check-bench-refs fuzz bench bench-diff microbench artifacts
 
 all: build
 
@@ -23,27 +23,41 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/...
 
+# check-bench-refs fails when a bench artifact this Makefile or the CI
+# workflow reads is missing from the tree (files they only write, after
+# -out, do not count). A missing baseline must fail loudly, not turn a gate
+# into a no-op.
+check-bench-refs:
+	@missing=0; \
+	for f in $$(sed -e 's/#.*//' -e 's/-out [^ ]*//g' Makefile .github/workflows/ci.yml | grep -o 'BENCH_[A-Za-z0-9_]*\.json' | sort -u); do \
+		if [ -f "$$f" ]; then echo "ok      $$f"; else echo "MISSING $$f"; missing=1; fi; \
+	done; \
+	exit $$missing
+
 # fuzz sweeps the full metamorphic corpus (14 variants per seed, including
 # the horizon-parallel engine at worker budgets 2 and 4, the lifecycle and
 # ranged VMA-mutation fast lanes disabled, and dirty-page logging armed)
-# plus the backend differential grids without the race detector's slowdown.
+# plus the backend and bound-sandbox differential grids without the race
+# detector's slowdown.
 fuzz:
-	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestParallelEngineDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential' ./internal/check/
+	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestParallelEngineDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential|TestBoundFleetDifferential' ./internal/check/
 	$(GO) test -count=1 -run 'TestRangedAccessEquivalence|TestForkTeardownEquivalence|TestDirtyLog|TestVMAMutation' ./internal/backend/
 
-# bench regenerates BENCH_pr10.json: the TouchRange, ColdFault,
-# ProcessLifecycle, VMAMutation, MultiVCPUContention, and DirtyScan grids
-# plus the PreCopy experiment benchmark across all five MMU backends, and
-# the serial and engine-parallel default-grid wall clocks (compared against
-# BENCH_pr9.json's baseline).
+# bench writes a fresh report (benchreport's default file name; it is not
+# committed): the TouchRange, ColdFault, ProcessLifecycle, VMAMutation,
+# MultiVCPUContention, and DirtyScan grids plus the PreCopy experiment
+# benchmark across all five MMU backends, and the serial and
+# engine-parallel default-grid wall clocks (compared against the newest
+# committed artifact's baseline).
 bench:
 	$(GO) run ./cmd/benchreport -out BENCH_pr10.json
 
-# bench-diff compares the two most recent bench artifacts cell by cell and
-# fails on regressions beyond the default threshold; it refuses to compare
-# artifacts measured at different benchtimes or host parallelism.
+# bench-diff compares the two newest committed bench artifacts cell by cell
+# and fails on regressions beyond the default threshold; it refuses to
+# compare artifacts measured at different benchtimes or host parallelism.
+# To compare a fresh `make bench` report, diff BENCH_pr9.json against it.
 bench-diff:
-	$(GO) run ./cmd/benchreport -diff BENCH_pr9.json BENCH_pr10.json
+	$(GO) run ./cmd/benchreport -diff BENCH_pr8.json BENCH_pr9.json
 
 # microbench runs the low-level hot-path benchmarks of the simulator core.
 microbench:

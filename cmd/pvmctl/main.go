@@ -138,6 +138,7 @@ type runReport struct {
 	Procs      int               `json:"procs"`
 	Workload   string            `json:"workload"`
 	MakespanNS int64             `json:"makespan_ns"`
+	Gates      int64             `json:"gates"`
 	Failures   int               `json:"failures"`
 	Events     metrics.Snapshot  `json:"events"`
 	PerCont    []containerReport `json:"per_container"`
@@ -166,11 +167,16 @@ func runDetailed(cfg backend.Config, containers, procs, rounds int, wname string
 	opt.Cores = 104
 	sys := backend.NewSystem(cfg, opt)
 	rt := container.NewRuntime(sys)
+	// Admit every vCPU before any runs (see container.DeployFleet): the
+	// schedule must not depend on how far an early vCPU's goroutine gets
+	// while later ones are still being launched.
+	release := sys.Eng.Hold()
 	for i := 0; i < containers; i++ {
 		c, err := rt.Deploy(fmt.Sprintf("c%02d", i))
 		if err != nil {
 			return nil, 0, err
 		}
+		c.VCPUs = procs
 		for q := 0; q < procs; q++ {
 			if q == 0 {
 				c.Start(0, 64, wl)
@@ -179,6 +185,7 @@ func runDetailed(cfg backend.Config, containers, procs, rounds int, wname string
 			}
 		}
 	}
+	release()
 	sys.Eng.Wait()
 	makespan := sys.Eng.Makespan()
 	rep := &runReport{
@@ -187,6 +194,7 @@ func runDetailed(cfg backend.Config, containers, procs, rounds int, wname string
 		Procs:      procs,
 		Workload:   wname,
 		MakespanNS: makespan,
+		Gates:      sys.Eng.Gates(),
 		Failures:   rt.Failures(),
 		Events:     sys.MetricsSnapshot(),
 	}
@@ -200,6 +208,7 @@ func runDetailed(cfg backend.Config, containers, procs, rounds int, wname string
 		fmt.Printf("config:     %s\n", cfg)
 		fmt.Printf("containers: %d × %d proc(s), workload %s\n", containers, procs, wname)
 		fmt.Printf("virtual time: %.3f ms\n", float64(makespan)/1e6)
+		fmt.Printf("gates:      %d gated engine operations (global ordering paid)\n", sys.Eng.Gates())
 		if fails := rt.Failures(); fails > 0 {
 			fmt.Printf("FAILED container starts: %d (runtime deadline exceeded)\n", fails)
 		}

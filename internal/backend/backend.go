@@ -290,7 +290,45 @@ type Guest struct {
 
 	procMu    sync.Mutex
 	liveProcs int
+
+	// owner, once set by Bind, is the one vCPU all of this guest's
+	// processes run on. Written before the guest runs anything and read
+	// only from owner's goroutine.
+	owner *vclock.CPU
 }
+
+// Bind dedicates the guest to vCPU c — the sandbox guarantee that every one
+// of its processes runs on c — and stops ordering c globally for state no
+// other vCPU can reach. The guest kernel refuses processes on any other vCPU
+// from now on; c owns the guest's own locks (the PVM shadow lock set, the
+// SPT and EPT-on-EPT per-guest mmu_locks, and on bare metal the guest VM's
+// mmu_lock, but never the nested L1 instance's); and return-to-guest legs
+// become private charges. Every touch of System-shared state — the host and
+// L1 frame allocators, L1's EPT01 and mmu_lock, the PID and PCID
+// allocators, the live-process count, Compute dilation — keeps its gate at
+// the same virtual instant, so virtual time is unchanged (DESIGN.md §4,
+// "Sandbox-bound guests").
+//
+// Call Bind from c's goroutine before the guest runs any process there;
+// it fails when a live process already runs on another vCPU.
+func (g *Guest) Bind(c *vclock.CPU) error {
+	if err := g.Kern.Bind(c); err != nil {
+		return fmt.Errorf("backend: binding %s: %w", g.Name, err)
+	}
+	if g.owner == c {
+		return nil
+	}
+	g.owner = c
+	if g.vm != g.Sys.L1 {
+		g.vm.Bind(c)
+	}
+	g.mmu.bind(c)
+	return nil
+}
+
+// order charges d at an ordering point whose gate orders only this guest's
+// own state: elided once the guest is bound (see vclock.CPU.Order).
+func (g *Guest) order(c *vclock.CPU, d int64) { c.Order(d, g.owner != nil) }
 
 // VMCS12 returns the guest's software VMCS (nil for non-nested-KVM guests).
 func (g *Guest) VMCS12() *vmx.VMCS { return g.vmcs12 }
@@ -322,6 +360,9 @@ type mmuStrategy interface {
 	// audit checks the strategy's structural invariants for one process
 	// (see audit.go). Pure reads only: no costs, no stats, no caches.
 	audit(p *guest.Process) error
+
+	// bind hands the strategy's per-guest locks to c (see Guest.Bind).
+	bind(c *vclock.CPU)
 }
 
 // cpuStrategy is the per-configuration CPU/interrupt/I/O choreography.
@@ -557,8 +598,8 @@ func (g *Guest) submitIO(p *guest.Process, dev *virtio.Device, n int, bytes int6
 	g.Sys.trace(p.CPU, trace.KindIO, trace.FormIO, g.Name, p.PID, uint64(n), bytes, dev.String())
 	// The virtio ring is shared by every vCPU of the guest and its batching
 	// state feeds service times: gate so ring order is a function of
-	// virtual time, not of goroutine interleaving.
-	p.CPU.Sync()
+	// virtual time, not of goroutine interleaving (a bound guest has one).
+	g.order(p.CPU, 0)
 	b := dev.Submit(n, bytes)
 	g.Sys.Ctr.IORequests.Add(int64(n))
 	for i := int64(0); i < b.Kicks; i++ {

@@ -56,7 +56,7 @@ func (u *hwCPU) syscall(p *guest.Process, body int64) {
 	if g.Sys.Opt.KPTI {
 		base = prm.SyscallHW
 	}
-	c.Advance(base + prm.SyscallBody + body)
+	g.order(c, base+prm.SyscallBody+body)
 }
 
 func (u *hwCPU) privOp(p *guest.Process, op arch.PrivOp) {
@@ -74,7 +74,7 @@ func (u *hwCPU) privOp(p *guest.Process, op arch.PrivOp) {
 	case arch.OpMSRAccess:
 		if !u.nested {
 			// KVM allows direct MSR access in non-root mode: no exit.
-			c.Advance(prm.HandlerMSRKVM)
+			g.order(c, prm.HandlerMSRKVM)
 			return
 		}
 		ctr.Emulations.Add(1)
@@ -104,7 +104,7 @@ func (u *hwCPU) privOp(p *guest.Process, op arch.PrivOp) {
 			return
 		}
 		// Under EPT, guest CR3 loads do not exit.
-		c.Advance(prm.SyscallHWNoKPTI)
+		g.order(c, prm.SyscallHWNoKPTI)
 	default:
 		ctr.Emulations.Add(1)
 		u.roundTrip(p, prm.HandlerCPUID)

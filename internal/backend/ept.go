@@ -8,6 +8,7 @@ import (
 	"repro/internal/pagetable"
 	"repro/internal/tlb"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // eptMMU is single-level hardware memory virtualization (kvm-ept (BM)): the
@@ -27,6 +28,10 @@ func (m *eptMMU) register(p *guest.Process) {
 	}
 	// GPT updates do not trap: no OnWrite hook.
 }
+
+// bind has nothing to hand over: the only lock is the guest VM's mmu_lock,
+// which Guest.Bind owns through the VM.
+func (m *eptMMU) bind(*vclock.CPU) {}
 
 func (m *eptMMU) unregister(p *guest.Process) {
 	// Nothing to tear down: EPT backings are released page by page via

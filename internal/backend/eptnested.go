@@ -92,6 +92,10 @@ func (m *eptNestedMMU) onEPT12Write(ev pagetable.WriteEvent) {
 	g.vm.MMULock.With(c, prm.EPT02Compress, nil)
 }
 
+// bind owns L1's per-guest mmu_lock; the L0 mmu_lock belongs to the shared
+// L1 instance and keeps gating.
+func (m *eptNestedMMU) bind(c *vclock.CPU) { m.l1Lock.Own(c) }
+
 func (m *eptNestedMMU) register(p *guest.Process) {
 	p.PlatformData = &procData{
 		tlb:      tlb.New(m.g.Sys.Opt.TLBEntries),
@@ -260,7 +264,9 @@ func (m *eptNestedMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	if !ok {
 		return
 	}
-	m.l1Lock.With(c, prm.EPTFix/2, func() {
+	// The zap touches only this guest's EPT12 (Unmap frees no table frame,
+	// and the write-protection hook is suppressed).
+	m.l1Lock.WithPrivate(c, prm.EPTFix/2, func() {
 		m.suppress = true
 		m.ept12.Unmap(gpaVA(gpa))
 		m.suppress = false

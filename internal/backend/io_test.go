@@ -83,12 +83,45 @@ func TestInterruptPathCosts(t *testing.T) {
 func TestSharedIFGatesInjectionState(t *testing.T) {
 	runOne(t, PVMNST, DefaultOptions(), func(s *System, p *guest.Process) {
 		m := s.Guests()[0].mmu.(*pvmMMU)
-		reads := m.Switcher().SharedIF.HostReads
+		reads := m.Switcher().SharedIF.HostReads.Load()
 		p.Interrupt(interrupt.VectorTimer)
-		if m.Switcher().SharedIF.HostReads != reads+1 {
+		if m.Switcher().SharedIF.HostReads.Load() != reads+1 {
 			t.Error("PVM did not consult the shared IF word before injecting")
 		}
 	})
+}
+
+// TestSharedIFConcurrentVCPUs: the shared IF word belongs to the guest, not
+// to one vCPU. Two vCPUs of one PVM guest inject interrupts and complete
+// I/O between their gates, so Get runs on both at once; under -race this
+// pins the word's atomic counters, and every read is counted.
+func TestSharedIFConcurrentVCPUs(t *testing.T) {
+	const rounds = 200
+	s := NewSystem(PVMNST, DefaultOptions())
+	g, err := s.NewGuest("g0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := s.Eng.Hold()
+	for i := 0; i < 2; i++ {
+		g.Run(int64(i)*100, 2, func(p *guest.Process) {
+			for r := 0; r < rounds; r++ {
+				// The Compute commits past the peer's slot, so the
+				// peer runs while this vCPU injects.
+				p.Compute(1000)
+				p.Interrupt(interrupt.VectorTimer)
+			}
+		})
+	}
+	release()
+	s.Eng.Wait()
+	if err := s.Eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sif := g.mmu.(*pvmMMU).Switcher().SharedIF
+	if got := sif.HostReads.Load(); got != 2*rounds {
+		t.Fatalf("host reads = %d, want %d", got, 2*rounds)
+	}
 }
 
 func TestNetIOUsesNetDevice(t *testing.T) {

@@ -82,6 +82,8 @@ func (m *pvmMMU) register(p *guest.Process) {
 	p.GPT.OnWrite = func(ev pagetable.WriteEvent) { m.onGPTWrite(p, ev) }
 }
 
+func (m *pvmMMU) bind(c *vclock.CPU) { m.locks.Own(c) }
+
 func (m *pvmMMU) unregister(p *guest.Process) {
 	p.GPT.OnWrite = nil
 	d := pd(p)
@@ -136,17 +138,19 @@ func (m *pvmMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 	}
 	g.Sys.Ctr.PTEWriteTraps.Add(1)
 	m.exit(p)
+	// The zap touches only this process's shadow table (Zap frees no table
+	// frame): private to a bound guest's vCPU.
 	if m.locks.Mode == core.FineLock {
 		if ev.Leaf {
 			m.locks.Rmap(ev.Entry.PFN).With(c, prm.RmapHold, nil)
 		}
-		m.locks.PT(p.PID, ev.VA).With(c, prm.PVMEmulWrite, func() {
+		m.locks.PT(p.PID, ev.VA).WithPrivate(c, prm.PVMEmulWrite, func() {
 			if ev.Leaf {
 				d.shadow.Zap(ev.VA)
 			}
 		})
 	} else {
-		m.locks.Coarse.With(c, prm.PVMEmulWrite+prm.RmapHold, func() {
+		m.locks.Coarse.WithPrivate(c, prm.PVMEmulWrite+prm.RmapHold, func() {
 			if ev.Leaf {
 				d.shadow.Zap(ev.VA)
 			}
@@ -311,7 +315,8 @@ func (m *pvmMMU) syncReplay(p *guest.Process, d *procData) {
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.PT(p.PID, log[0].VA)
 	}
-	lock.With(c, int64(len(log))*per, func() {
+	// Zaps of the process's own shadow table and TLB only.
+	lock.WithPrivate(c, int64(len(log))*per, func() {
 		for _, ev := range log {
 			if ev.Leaf {
 				d.shadow.Zap(ev.VA)
@@ -358,7 +363,8 @@ func (m *pvmMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		entry:  func() { m.enter(p, false) },
 		replay: func() { m.syncReplay(p, d) },
 		sweep: func() {
-			lock.With(c, 0, func() {
+			// Write-protects leaves of the process's own shadow table.
+			lock.WithPrivate(c, 0, func() {
 				n := dirtySweep(d.sptUser)
 				c.AdvanceLazy(int64(n) * prm.DirtyLogProtect)
 			})
@@ -486,8 +492,8 @@ func (m *pvmMMU) flushRange(p *guest.Process, pages int) {
 		if m.locks.Mode == core.FineLock {
 			lock = m.locks.Meta
 		}
-		lock.With(c, int64(pages)*prm.FlushPTEScan+remote*prm.ShootdownIPI, func() {
-			d.tlb.FlushVPID(g.VPID)
+		lock.WithPrivate(c, int64(pages)*prm.FlushPTEScan+remote*prm.ShootdownIPI, func() {
+			d.tlb.FlushVPID(g.VPID) // the process's own TLB
 		})
 	}
 	m.enter(p, false)

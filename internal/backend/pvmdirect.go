@@ -83,6 +83,8 @@ func (m *pvmDirectMMU) register(p *guest.Process) {
 	}
 }
 
+func (m *pvmDirectMMU) bind(c *vclock.CPU) { m.locks.Own(c) }
+
 func (m *pvmDirectMMU) unregister(p *guest.Process) {
 	p.GPT.OnWrite = nil
 	d := pd(p)
@@ -304,7 +306,8 @@ func (m *pvmDirectMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		entry:  func() { m.enter(p, false) },
 		replay: func() { m.applyBatch(p, d) },
 		sweep: func() {
-			lock.With(c, 0, func() {
+			// Write-protects leaves of the process's own machine table.
+			lock.WithPrivate(c, 0, func() {
 				n := dirtySweep(d.sptUser)
 				c.AdvanceLazy(int64(n) * prm.DirtyLogProtect)
 			})

@@ -103,6 +103,14 @@ func (m *sptMMU) register(p *guest.Process) {
 	p.GPT.OnWrite = func(ev pagetable.WriteEvent) { m.onGPTWrite(p, ev) }
 }
 
+// bind owns the nested per-guest mmu_lock; on bare metal the mmu_lock is the
+// guest VM's, which Guest.Bind owns through the VM.
+func (m *sptMMU) bind(c *vclock.CPU) {
+	if m.nested {
+		m.mmuLock.Own(c)
+	}
+}
+
 func (m *sptMMU) unregister(p *guest.Process) {
 	p.GPT.OnWrite = nil
 	d := pd(p)
@@ -131,7 +139,9 @@ func (m *sptMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 	d := pd(p)
 	g.Sys.Ctr.PTEWriteTraps.Add(1)
 	m.exit(c)
-	m.mmuLock.With(c, m.hold(g.Sys.Prm.SPTEmulWrite), func() {
+	// The zap touches only this process's shadow table (Unmap frees no
+	// table frame): private to a bound guest's vCPU.
+	m.mmuLock.WithPrivate(c, m.hold(g.Sys.Prm.SPTEmulWrite), func() {
 		if ev.Leaf {
 			d.sptMapper.Unmap(ev.VA) // zap; refixed on next access
 		}
@@ -326,7 +336,8 @@ func (m *sptMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		exit:  func() { m.exit(c) },
 		entry: func() { m.entry(c, p) },
 		sweep: func() {
-			m.mmuLock.With(c, 0, func() {
+			// Write-protects leaves of the process's own shadow table.
+			m.mmuLock.WithPrivate(c, 0, func() {
 				n := dirtySweep(d.sptUser)
 				c.AdvanceLazy(m.hold(int64(n) * prm.DirtyLogProtect))
 			})
@@ -367,8 +378,8 @@ func (m *sptMMU) flushRange(p *guest.Process, pages int) {
 		kick = prm.NestedSwitchOneWay()
 	}
 	hold := m.hold(int64(pages)*prm.FlushPTEScan) + remote*kick
-	m.mmuLock.With(c, hold, func() {
-		pd(p).tlb.FlushVPID(g.VPID)
+	m.mmuLock.WithPrivate(c, hold, func() {
+		pd(p).tlb.FlushVPID(g.VPID) // the process's own TLB
 	})
 	m.entry(c, p)
 }

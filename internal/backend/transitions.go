@@ -36,11 +36,13 @@ func (g *Guest) exitHW(c *vclock.CPU) {
 // slot, so unordered reads of shared hypervisor state (EPT01 backings, EPT02
 // residency) that follow in the next fault's walk observe exactly the
 // mutations committed before that slot. Exit legs and hypervisor-internal
-// work stay lazy; the entry is the one ordering point per round trip.
+// work stay lazy; the entry is the one ordering point per round trip. In a
+// bound guest that state is the guest's own, and every System-shared read
+// carries its own gate, so the entry is a private charge (Guest.Bind).
 func (g *Guest) entryHW(c *vclock.CPU) {
 	g.Sys.Ctr.Switch(metrics.SwitchHW)
 	g.Sys.Ctr.WorldEntries.Add(1)
-	c.Advance(g.Sys.Prm.SwitchHW)
+	g.order(c, g.Sys.Prm.SwitchHW)
 }
 
 // l2ToL1 charges a nested L2→L1 trip: the L2 trap exits to L0, which injects
@@ -78,14 +80,14 @@ func (g *Guest) l2ToL1(c *vclock.CPU) {
 // l1ToL2 charges the nested return: L1's VMRESUME traps to L0, which merges
 // VMCS02 and performs the real entry. Two world switches, one L0 exit.
 // Like entryHW, the return into L2 gates so guest code resumes in its
-// virtual-time slot (see entryHW).
+// virtual-time slot, unless the guest is bound (see entryHW).
 func (g *Guest) l1ToL2(c *vclock.CPU) {
 	ctr := g.Sys.Ctr
 	ctr.Switch(metrics.SwitchNestedHop)
 	ctr.Switch(metrics.SwitchNestedHop)
 	ctr.L0Exits.Add(1)
 	ctr.WorldEntries.Add(1)
-	c.Advance(g.Sys.Prm.NestedReturnOneWay())
+	g.order(c, g.Sys.Prm.NestedReturnOneWay())
 }
 
 // pvmExit charges a switcher transition from the L2 guest into the PVM

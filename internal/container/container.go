@@ -66,6 +66,12 @@ type Container struct {
 	ID    string
 	Guest *backend.Guest
 
+	// VCPUs is the sandbox's vCPU count, 1 as deployed: the runtime runs
+	// every process of a single-vCPU sandbox on the vCPU Start creates, so
+	// Start binds the guest to it (backend.Guest.Bind). Set it before Start
+	// when more processes will run on vCPUs of their own (Guest.Run).
+	VCPUs int
+
 	// deadline is the sandbox-connection timeout (virtual ns), inherited
 	// from the runtime at deployment.
 	deadline int64
@@ -140,7 +146,7 @@ func (r *Runtime) Deploy(id string) (*Container, error) {
 	if err != nil {
 		return nil, fmt.Errorf("container: deploying %s: %w", id, err)
 	}
-	c := &Container{ID: id, Guest: g, state: Created, deadline: int64(r.StartupDeadline)}
+	c := &Container{ID: id, Guest: g, VCPUs: 1, state: Created, deadline: int64(r.StartupDeadline)}
 	r.mu.Lock()
 	r.containers = append(r.containers, c)
 	r.mu.Unlock()
@@ -150,7 +156,7 @@ func (r *Runtime) Deploy(id string) (*Container, error) {
 // Start boots the sandbox and runs the workload, all on a fresh vCPU
 // starting at virtual time startAt. imagePages is the workload's resident
 // image. The returned CPU finishes when the workload (or a failed startup)
-// completes.
+// completes. A single-vCPU sandbox's guest is bound to that vCPU first.
 func (c *Container) Start(startAt int64, imagePages int, workload func(p *guest.Process)) *vclock.CPU {
 	rt := c.Guest.Sys
 	deadline := c.deadline
@@ -158,6 +164,11 @@ func (c *Container) Start(startAt int64, imagePages int, workload func(p *guest.
 		deadline = int64(DefaultStartupDeadline)
 	}
 	return rt.Eng.Go(startAt, func(cpu *vclock.CPU) {
+		if c.VCPUs == 1 {
+			if err := c.Guest.Bind(cpu); err != nil {
+				panic(fmt.Sprintf("container %s: %v", c.ID, err))
+			}
+		}
 		c.mu.Lock()
 		c.state = Running
 		c.mu.Unlock()

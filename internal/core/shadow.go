@@ -123,6 +123,11 @@ type LockSet struct {
 
 	eng *vclock.Engine
 
+	// owner, once set by Own, owns every lock of the set, including the
+	// pt_locks and rmap_locks created later. Guarded by ptMu and rmapMu
+	// (both held to write).
+	owner *vclock.CPU
+
 	ptMu    sync.Mutex
 	ptLocks map[ptKey]*vclock.Lock
 
@@ -149,7 +154,7 @@ func (ls *LockSet) PT(owner int, va arch.VA) *vclock.Lock {
 	defer ls.ptMu.Unlock()
 	l, ok := ls.ptLocks[k]
 	if !ok {
-		l = ls.eng.NewLock("pvm-pt")
+		l = ls.newLock("pvm-pt")
 		ls.ptLocks[k] = l
 	}
 	return l
@@ -161,10 +166,39 @@ func (ls *LockSet) Rmap(gfn arch.PFN) *vclock.Lock {
 	defer ls.rmapMu.Unlock()
 	l, ok := ls.rmapLocks[gfn]
 	if !ok {
-		l = ls.eng.NewLock("pvm-rmap")
+		l = ls.newLock("pvm-rmap")
 		ls.rmapLocks[gfn] = l
 	}
 	return l
+}
+
+// newLock creates a lock of the set, owned when the set is. Caller holds
+// ptMu or rmapMu.
+func (ls *LockSet) newLock(name string) *vclock.Lock {
+	l := ls.eng.NewLock(name)
+	if ls.owner != nil {
+		l.Own(ls.owner)
+	}
+	return l
+}
+
+// Own hands every lock of the set, present and future, to vCPU c (see
+// vclock.Lock.Own): the shadow state they protect belongs to one guest, so
+// when all of that guest's processes run on c only c can reach it.
+func (ls *LockSet) Own(c *vclock.CPU) {
+	ls.ptMu.Lock()
+	defer ls.ptMu.Unlock()
+	ls.rmapMu.Lock()
+	defer ls.rmapMu.Unlock()
+	ls.owner = c
+	ls.Meta.Own(c)
+	ls.Coarse.Own(c)
+	for _, l := range ls.ptLocks {
+		l.Own(c)
+	}
+	for _, l := range ls.rmapLocks {
+		l.Own(c)
+	}
 }
 
 // PTLockCount returns how many distinct pt_locks have been created (a proxy

@@ -130,12 +130,45 @@ type Kernel struct {
 	mu      sync.Mutex
 	procs   map[int]*Process
 	nextPID int
+
+	// cpu, once set by Bind, is the only vCPU processes may run on.
+	// Guarded by mu.
+	cpu *vclock.CPU
 }
 
 // NewKernel boots a guest kernel on the given platform with the given
 // guest-physical allocator.
 func NewKernel(plat Platform, gpa *mem.Allocator) *Kernel {
 	return &Kernel{plat: plat, GPA: gpa, procs: map[int]*Process{}, nextPID: 1}
+}
+
+// Bind restricts the kernel to one vCPU: every process from now on must run
+// on cpu, and NewProcess and Fork refuse any other. It fails when a live
+// process already runs elsewhere, or when the kernel is bound to another
+// vCPU.
+func (k *Kernel) Bind(cpu *vclock.CPU) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.cpu != nil && k.cpu != cpu {
+		return fmt.Errorf("guest: kernel already bound to vCPU %d", k.cpu.ID())
+	}
+	for _, p := range k.procs {
+		if p.CPU != cpu {
+			return fmt.Errorf("guest: binding to vCPU %d: pid %d runs on vCPU %d", cpu.ID(), p.PID, p.CPU.ID())
+		}
+	}
+	k.cpu = cpu
+	return nil
+}
+
+// admit checks that a process may run on cpu (see Bind).
+func (k *Kernel) admit(cpu *vclock.CPU) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.cpu != nil && cpu != k.cpu {
+		return fmt.Errorf("guest: kernel bound to vCPU %d refuses a process on vCPU %d", k.cpu.ID(), cpu.ID())
+	}
+	return nil
 }
 
 // Platform returns the virtualization stack below this kernel.
@@ -198,6 +231,9 @@ func (v VMA) perm() pagetable.Flags {
 // NewProcess creates a process with an empty address space on cpu, registers
 // it with the platform, and maps nothing. Most callers want StartProcess.
 func (k *Kernel) NewProcess(cpu *vclock.CPU) (*Process, error) {
+	if err := k.admit(cpu); err != nil {
+		return nil, err
+	}
 	// PID assignment and the root-table frame come from kernel-shared
 	// pools: gate so concurrent process creation on other vCPUs orders
 	// them by virtual time (ties by vCPU id), not by goroutine startup.
@@ -360,6 +396,9 @@ func (p *Process) Fork(childCPU *vclock.CPU) (*Process, error) {
 		childCPU = p.CPU
 	}
 	k := p.K
+	if err := k.admit(childCPU); err != nil {
+		return nil, err
+	}
 	k.plat.Counters().Forks.Add(1)
 
 	// PID assignment and the child's root-table frame come from

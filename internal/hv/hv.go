@@ -106,6 +106,17 @@ func (h *Host) NewVM(name string, gpaFrames int64) (*VM, error) {
 // VMs returns the hosted VMs.
 func (h *Host) VMs() []*VM { return h.vms }
 
+// Bind dedicates the VM to vCPU c: the VM of a sandbox guest whose every
+// process runs on c, so its EPT01 and mmu_lock are reachable from c alone.
+// The mmu_lock becomes c's (vclock.Lock.Own), and EnsureBacking and
+// ReleaseBacking stop ordering c's EPT01 probes and exit legs globally; the
+// host frames they draw or return still gate. Never bind the nested L1
+// instance, which every L2 guest shares.
+func (vm *VM) Bind(c *vclock.CPU) { vm.MMULock.Own(c) }
+
+// ownedBy reports whether vm is bound to c.
+func (vm *VM) ownedBy(c *vclock.CPU) bool { return vm.MMULock.Owner() == c }
+
 // EPTViolations returns how many EPT01 violations this VM has taken.
 func (vm *VM) EPTViolations() int64 { return vm.eptViolations }
 
@@ -142,12 +153,17 @@ func (vm *VM) EnsureBacking(c *vclock.CPU, gpa arch.PFN) (arch.PFN, bool) {
 	// neighbour's 2 MiB mapping can cover this gpa), so the presence check
 	// must be ordered into the virtual schedule: gate first, so whether a
 	// concurrent vCPU's map is visible is a function of virtual time, not
-	// of how far this vCPU's goroutine has raced ahead in real time.
-	c.Sync()
+	// of how far this vCPU's goroutine has raced ahead in real time. A VM
+	// bound to c has no concurrent vCPU: its probe and legs are private.
+	owned := vm.ownedBy(c)
+	c.Order(0, owned)
 	if hpa, ok := vm.Backing(gpa); ok {
 		return hpa, false
 	}
 	if vm.Host.Warm {
+		if owned {
+			c.Sync() // the silent install draws a host frame
+		}
 		hpa := vm.mapBacking(gpa)
 		return hpa, false
 	}
@@ -156,7 +172,7 @@ func (vm *VM) EnsureBacking(c *vclock.CPU, gpa arch.PFN) (arch.PFN, bool) {
 	// VM exit to L0.
 	ctr.Switch(metrics.SwitchHW)
 	ctr.L0Exits.Add(1)
-	c.Advance(p.SwitchHW)
+	c.Order(p.SwitchHW, owned)
 	var hpa arch.PFN
 	vm.MMULock.With(c, p.FrameAlloc+p.EPTFix, func() {
 		// Re-check under the lock: another vCPU that missed the same
@@ -172,7 +188,7 @@ func (vm *VM) EnsureBacking(c *vclock.CPU, gpa arch.PFN) (arch.PFN, bool) {
 	vm.eptViolations++
 	// VM entry back.
 	ctr.Switch(metrics.SwitchHW)
-	c.Advance(p.SwitchHW)
+	c.Order(p.SwitchHW, owned)
 	return hpa, true
 }
 
@@ -200,19 +216,23 @@ func (vm *VM) mapBacking(gpa arch.PFN) arch.PFN {
 // asynchronous worker in real systems; the caller charges only the brief
 // critical section under the VM's mmu_lock.
 func (vm *VM) ReleaseBacking(c *vclock.CPU, gpa arch.PFN) bool {
-	// Gate before probing shared EPT01 state, as in EnsureBacking.
-	c.Sync()
+	// Gate before probing shared EPT01 state, as in EnsureBacking. The
+	// frame release itself runs in a With body, which gates even on a VM
+	// bound to c.
+	c.Order(0, vm.ownedBy(c))
 	if vm.Host.HugeEPT {
-		e, ok := vm.EPT01.LookupLarge(gpaKey(gpa))
-		if !ok {
+		if _, ok := vm.EPT01.LookupLarge(gpaKey(gpa)); !ok {
 			return false
 		}
 		// KVM-style huge-spte invalidation: the whole block is zapped
 		// and freed; surviving neighbours refault later.
 		vm.MMULock.With(c, vm.Host.Prm.EPTFix/2, func() {
 			// A neighbour's release may have zapped the block in the
-			// gate-to-grant window; the invalidation is then a no-op.
-			if _, ok := vm.EPT01.LookupLarge(gpaKey(gpa)); !ok {
+			// gate-to-grant window (the invalidation is then a no-op),
+			// and a neighbour's fault may have mapped it afresh since:
+			// free the block mapped now, not the one seen at the gate.
+			e, ok := vm.EPT01.LookupLarge(gpaKey(gpa))
+			if !ok {
 				return
 			}
 			vm.EPT01.UnmapLarge(gpaKey(gpa))

@@ -12,6 +12,7 @@ package interrupt
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -99,25 +100,30 @@ func (a *APIC) Inject(ifFlag bool) (uint8, bool) {
 // hypervisor to virtualize RFLAGS.IF: the guest toggles it without exiting,
 // and the hypervisor reads it directly to decide whether a virtual interrupt
 // can be injected.
+//
+// The word and its counters are atomic: the vCPUs of one guest share it
+// (one toggling IF from guest context while another injects an I/O
+// completion) without any virtual lock between them. Nothing the simulation
+// computes reads the counters, so their update order is free.
 type SharedIF struct {
-	enabled bool
+	enabled atomic.Bool
 
-	GuestToggles int64
-	HostReads    int64
+	GuestToggles atomic.Int64
+	HostReads    atomic.Int64
 }
 
 // Set updates the flag from guest context (no exit).
 func (s *SharedIF) Set(enabled bool) {
-	s.enabled = enabled
-	s.GuestToggles++
+	s.enabled.Store(enabled)
+	s.GuestToggles.Add(1)
 }
 
 // Get reads the flag from hypervisor context (no exit).
 func (s *SharedIF) Get() bool {
-	s.HostReads++
-	return s.enabled
+	s.HostReads.Add(1)
+	return s.enabled.Load()
 }
 
 func (s *SharedIF) String() string {
-	return fmt.Sprintf("IF=%v (guest toggles %d, host reads %d)", s.enabled, s.GuestToggles, s.HostReads)
+	return fmt.Sprintf("IF=%v (guest toggles %d, host reads %d)", s.enabled.Load(), s.GuestToggles.Load(), s.HostReads.Load())
 }

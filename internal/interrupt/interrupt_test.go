@@ -63,8 +63,8 @@ func TestSharedIFNoExitSemantics(t *testing.T) {
 	if s.Get() {
 		t.Error("IF stuck")
 	}
-	if s.GuestToggles != 2 || s.HostReads != 2 {
-		t.Errorf("toggles/reads = %d/%d, want 2/2", s.GuestToggles, s.HostReads)
+	if s.GuestToggles.Load() != 2 || s.HostReads.Load() != 2 {
+		t.Errorf("toggles/reads = %d/%d, want 2/2", s.GuestToggles.Load(), s.HostReads.Load())
 	}
 	if s.String() == "" {
 		t.Error("empty String()")

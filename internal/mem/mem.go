@@ -23,9 +23,14 @@ var ErrOutOfMemory = errors.New("mem: out of physical frames")
 
 // Allocator hands out page frames of one physical layer.
 //
-// Allocator is safe for concurrent use; simulator determinism is preserved
-// because all calls are made by vCPUs already serialized by the vclock
-// engine's min-clock gating.
+// Allocator is safe for concurrent use. Which frame a call returns depends
+// on the order of calls, so determinism rests on that order being a
+// function of virtual time: an allocator several vCPUs share (the host's,
+// the L1 instance's) is touched only right after a gate — a Sync, or the
+// gate a virtual lock takes before its critical section — so calls land in
+// (clock, id) order. The guest-physical allocator of a guest bound to one
+// vCPU (backend.Guest.Bind) is touched by that vCPU alone and needs no gate:
+// program order fixes its sequence.
 type Allocator struct {
 	mu    sync.Mutex
 	name  string

@@ -12,6 +12,7 @@ package pagetable
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/arch"
@@ -439,27 +440,30 @@ func (pt *PageTable) CountMapped() int {
 	return n
 }
 
-// Destroy releases every table frame back to the allocator. The PageTable
+// Destroy releases every table frame back to the allocator, in ascending
+// frame order: the allocator's free list decides which frames later
+// allocations get, so it must not follow map iteration order. The PageTable
 // must not be used afterwards.
 func (pt *PageTable) Destroy() error {
-	for pfn, t := range pt.tables {
+	for _, pfn := range pt.TableFrames() {
 		if _, err := pt.alloc.Free(pfn); err != nil {
 			return err
 		}
-		putTable(t)
+		putTable(pt.tables[pfn])
 	}
 	pt.tables = nil
 	pt.stats.Tables = 0
 	return nil
 }
 
-// TableFrames returns the PFNs of all live table frames (root included);
-// shadowing layers write-protect exactly these frames in the shadow
-// structure to trap guest page-table stores.
+// TableFrames returns the PFNs of all live table frames (root included) in
+// ascending order; shadowing layers write-protect exactly these frames in
+// the shadow structure to trap guest page-table stores.
 func (pt *PageTable) TableFrames() []arch.PFN {
 	out := make([]arch.PFN, 0, len(pt.tables))
 	for pfn := range pt.tables {
 		out = append(out, pfn)
 	}
+	slices.Sort(out)
 	return out
 }

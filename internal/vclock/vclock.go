@@ -37,6 +37,16 @@
 // departure — still commits fully serialized at the heap root, so
 // schedules, clocks, and observables are bit-identical to the serial
 // engine by construction.
+//
+// A Lock can be owned by one vCPU (Lock.Own): state only that vCPU can reach
+// needs no global ordering, so the owner takes and drops the lock without
+// parking or touching the heap, recording the same statistics at its exact
+// time, and any other taker aborts the run. CPU.Order likewise elides an
+// ordering point that guards only the caller's private state. The heap key
+// of such a vCPU lags its exact time, which only makes every other vCPU wait
+// longer; its next gated operation folds the key forward, and Done departs
+// at its last ordering point, exactly where the gated run would have left
+// it (see Done).
 package vclock
 
 import (
@@ -124,6 +134,9 @@ type Engine struct {
 	// off deterministically.
 	lockWaiters int
 
+	// owned lists the locks dedicated to one vCPU (Lock.Own), for Audit.
+	owned []*Lock
+
 	wg sync.WaitGroup
 }
 
@@ -157,6 +170,22 @@ func (e *Engine) SoloGrants() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.soloGrants
+}
+
+// Gates returns how many gated engine operations the run paid for: every
+// Advance, Compute and Sync, every Acquire and Release of a lock the caller
+// does not own, and the departure gate of a vCPU that elided ordering points
+// (see Done). Owned acquisitions, AdvanceLazy and private Orders are free.
+// Informational, like SoloGrants: the count measures how much global
+// ordering a run bought, not what it computed. Call it after Wait.
+func (e *Engine) Gates() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var n int64
+	for _, c := range e.cpus {
+		n += c.gates
+	}
+	return n
 }
 
 // SetParallel sets the worker budget of the horizon-parallel executor: up
@@ -233,10 +262,11 @@ func (e *Engine) Clocks() []int64 {
 // (clock, id) min-heap with consistent back-indices, exactly the running
 // vCPUs are indexed, the engine-wide lock-waiter count matches the parked
 // vCPUs, the horizon-parallel executor's run-ahead accounting matches the
-// vCPUs holding uncommitted charge pools, and any standing solo grant
+// vCPUs holding uncommitted charge pools, any standing solo grant
 // satisfies its preconditions (bypass enabled, exactly one runnable vCPU,
-// no lock intents, no waiters, no run-ahead pool). It is read-only and
-// safe to call from a workload vCPU between operations.
+// no lock intents, no waiters, no run-ahead pool), and no owned lock has
+// waiters or a holder other than its owner. It is read-only and safe to
+// call from a workload vCPU between operations.
 func (e *Engine) Audit() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -296,6 +326,14 @@ func (e *Engine) Audit() error {
 	}
 	if ahead != e.grantsOut {
 		return fmt.Errorf("vclock: grantsOut=%d but %d vCPUs hold run-ahead pools", e.grantsOut, ahead)
+	}
+	for _, l := range e.owned {
+		switch {
+		case len(l.waiters) > 0:
+			return fmt.Errorf("vclock: lock %s owned by vCPU %d has %d waiters", l.name, l.owner.id, len(l.waiters))
+		case l.holder != nil && l.holder != l.owner:
+			return fmt.Errorf("vclock: lock %s owned by vCPU %d is held by vCPU %d", l.name, l.owner.id, l.holder.id)
+		}
 	}
 	if s := e.solo; s != nil {
 		switch {
@@ -361,6 +399,17 @@ type CPU struct {
 	// driving goroutine, folded into now under e.mu at the next engine
 	// operation.
 	lazy int64
+
+	// mark is the part of lazy that precedes the vCPU's last elided
+	// ordering point (an owned acquire or release, or a private Order), or
+	// -1 when its last ordering point was a gated operation. The elided
+	// point's exact time is now+ahead+mark; Done departs there. Owned by
+	// the driving goroutine, like lazy, and reset whenever lazy folds.
+	mark int64
+
+	// gates counts this vCPU's gated operations (Engine.Gates). Owned by
+	// the driving goroutine.
+	gates int64
 
 	// soloActive is the engine's published grant of the solo fast path to
 	// this vCPU (set under e.mu, cleared by exitSoloLocked). soloBusy is
@@ -517,7 +566,7 @@ func (e *Engine) NewCPU(start int64) *CPU {
 	// the heap grows, so the previously-solo vCPU's next operation gates
 	// against the newcomer.
 	e.exitSoloLocked()
-	c := &CPU{id: len(e.cpus), e: e, now: start, st: running, hi: -1, wake: make(chan struct{}, 1)}
+	c := &CPU{id: len(e.cpus), e: e, now: start, st: running, hi: -1, mark: -1, wake: make(chan struct{}, 1)}
 	e.cpus = append(e.cpus, c)
 	e.heapPush(c)
 	e.processRootLocked()
@@ -599,6 +648,11 @@ type engineAbort struct{ err error }
 func (e *Engine) abort(err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.abortLocked(err)
+}
+
+// abortLocked is abort with e.mu held.
+func (e *Engine) abortLocked(err error) {
 	// Only a running vCPU can panic, so if a solo grant exists the caller
 	// is the solo vCPU itself and the revocation never spins.
 	e.exitSoloLocked()
@@ -672,8 +726,7 @@ func (e *Engine) applyChargeLocked(c *CPU, d int64, compute bool) {
 // e.mu.
 func (c *CPU) foldLocked() {
 	if c.ahead > 0 {
-		c.ahead += c.lazy
-		c.lazy = 0
+		c.ahead += c.takeLazy()
 		return
 	}
 	c.flushLazyLocked()
@@ -703,8 +756,7 @@ func (e *Engine) runAheadLocked(c *CPU, d int64) bool {
 		// Already running ahead: extend the pool. When we are the root the
 		// cascade can make no progress until the pool commits, so drain it
 		// inline rather than waiting for another vCPU's operation.
-		c.ahead += c.lazy + d
-		c.lazy = 0
+		c.ahead += c.takeLazy() + d
 		e.parGrants++
 		if e.heap[0] == c {
 			e.processRootLocked()
@@ -778,9 +830,9 @@ func (e *Engine) processRootLocked() {
 			e.wakeLocked(r)
 			return
 		}
-		if l.held {
+		if l.holder != nil {
 			// Join the waiter queue at the vCPU's virtual slot. No wakeup:
-			// Release delivers one at handoff.
+			// after the handoff the cascade wakes it as the root.
 			r.pendingLock = nil
 			r.st = lockWait
 			e.heapRemove(r)
@@ -796,12 +848,11 @@ func (e *Engine) processRootLocked() {
 			r.now = l.freeAt
 			e.siftDown(r.hi)
 		}
-		l.held = true
 		l.holder = r
 		l.lastAcquire = r.now
 		l.acquisitions++
-		e.wakeLocked(r)
-		// The boost may have demoted r; keep cascading for the new root.
+		// The boost may have demoted r; keep cascading. r is woken once it
+		// is the root again (see Acquire), never before.
 	}
 }
 
@@ -809,12 +860,19 @@ func (e *Engine) processRootLocked() {
 // the lock is held again on return. Unwinds (with e.mu held, released by the
 // caller's deferred unlock) when the run has been aborted.
 func (e *Engine) sleepLocked(c *CPU) {
+	e.parkLocked(c)
+	e.checkAbortLocked()
+}
+
+// parkLocked parks c until signalled, without sleepLocked's abort check:
+// Done also drains aborted runs and must not panic. Caller holds e.mu; the
+// lock is held again on return.
+func (e *Engine) parkLocked(c *CPU) {
 	c.waiting = true
 	e.mu.Unlock()
 	<-c.wake
 	e.mu.Lock()
 	c.waiting = false
-	e.checkAbortLocked()
 }
 
 // gateLocked blocks until c holds the global minimum clock with no
@@ -843,14 +901,22 @@ func (e *Engine) gateLocked(c *CPU) {
 // interaction with shared state, so applying it before gating preserves
 // causal order. Caller holds e.mu.
 func (c *CPU) flushLazyLocked() {
-	if c.lazy != 0 {
-		c.now += c.lazy
-		c.Advanced += c.lazy
-		c.lazy = 0
+	if d := c.takeLazy(); d != 0 {
+		c.now += d
+		c.Advanced += d
 		if c.hi >= 0 {
 			c.e.siftDown(c.hi)
 		}
 	}
+}
+
+// takeLazy removes and returns the deferred charges for folding into the
+// clock (or a run-ahead pool) at a gated operation. That operation is the
+// vCPU's latest ordering point, so it also supersedes any elided one.
+func (c *CPU) takeLazy() int64 {
+	d := c.lazy
+	c.lazy, c.mark = 0, -1
+	return d
 }
 
 // ID returns the vCPU's stable identifier.
@@ -889,6 +955,28 @@ func (c *CPU) AdvanceLazy(d int64) {
 	c.lazy += d
 }
 
+// Order charges d nanoseconds at an ordering point: an Advance, or a Sync
+// when d is 0. private reports that the gate would order only state private
+// to c — a vCPU whose guest is bound to it (its locks owned by it, see
+// Lock.Own) passes it for the legs no other vCPU can observe. A private
+// point is elided: the charge is deferred like AdvanceLazy, so it never
+// parks, and the point is remembered so the vCPU still departs exactly where
+// the gated charge would have left it (see Done). Virtual time is the same
+// either way.
+func (c *CPU) Order(d int64, private bool) {
+	switch {
+	case d < 0:
+		panic(fmt.Sprintf("vclock: negative ordered advance %d", d))
+	case private:
+		c.lazy += d
+		c.mark = c.lazy
+	case d == 0:
+		c.Sync()
+	default:
+		c.Advance(d)
+	}
+}
+
 // Advance charges d nanoseconds of virtual latency (hardware transition,
 // device service time, …). Latency advances are never dilated by core
 // oversubscription.
@@ -905,12 +993,13 @@ func (c *CPU) Advance(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative advance %d", d))
 	}
+	c.gates++
 	if c.soloFast() {
 		// Sole runnable vCPU: the gate is trivially satisfied and the
 		// one-element heap needs no maintenance.
-		c.now += c.lazy + d
-		c.Advanced += c.lazy + d
-		c.lazy = 0
+		d += c.takeLazy()
+		c.now += d
+		c.Advanced += d
 		c.soloEnd()
 		return
 	}
@@ -940,12 +1029,13 @@ func (c *CPU) Compute(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative compute %d", d))
 	}
+	c.gates++
 	if c.soloFast() {
 		// One runnable vCPU never exceeds the core budget (cores == 0
 		// means unlimited), so the dilated and undilated charges agree.
-		c.now += c.lazy + d
-		c.Advanced += c.lazy + d
-		c.lazy = 0
+		d += c.takeLazy()
+		c.now += d
+		c.Advanced += d
 		c.soloEnd()
 		return
 	}
@@ -965,12 +1055,11 @@ func (c *CPU) Compute(d int64) {
 // state) into the deterministic schedule. The mutation must complete before
 // the vCPU's next engine operation.
 func (c *CPU) Sync() {
+	c.gates++
 	if c.soloFast() {
-		if c.lazy != 0 {
-			c.now += c.lazy
-			c.Advanced += c.lazy
-			c.lazy = 0
-		}
+		d := c.takeLazy()
+		c.now += d
+		c.Advanced += d
 		c.soloEnd()
 		return
 	}
@@ -993,6 +1082,33 @@ func (c *CPU) Done() {
 	if e.solo == c {
 		e.exitSoloLocked()
 	}
+	if c.mark >= 0 && c.hi >= 0 && !e.aborted {
+		// The vCPU elided ordering points after its last gated operation
+		// (owned locks, private Orders), so its heap key lags the last of
+		// them. The gated run would have stood at that point's key and
+		// left from there, every vCPU behind it still counting it runnable
+		// (Compute dilation reads the count). Fold the charges up to the
+		// point into the key and leave only from the root, as that run
+		// does.
+		c.gates++
+		d := c.mark
+		c.lazy -= d
+		c.mark = -1
+		if c.ahead > 0 {
+			c.ahead += d
+		} else {
+			c.now += d
+			c.Advanced += d
+			e.siftDown(c.hi)
+		}
+		for !e.aborted && (e.heap[0] != c || c.ahead > 0) {
+			e.processRootLocked()
+			if e.heap[0] == c && c.ahead == 0 {
+				break
+			}
+			e.parkLocked(c)
+		}
+	}
 	if c.ahead > 0 && c.hi >= 0 && !e.aborted {
 		// An uncommitted run-ahead pool is pending: departures change the
 		// runnable count other vCPUs read (Compute dilation), so the vCPU
@@ -1006,11 +1122,7 @@ func (c *CPU) Done() {
 		c.departing = true
 		e.processRootLocked()
 		for c.hi >= 0 && !e.aborted {
-			c.waiting = true
-			e.mu.Unlock()
-			<-c.wake
-			e.mu.Lock()
-			c.waiting = false
+			e.parkLocked(c)
 		}
 		c.departing = false
 		if c.hi < 0 {
@@ -1045,13 +1157,18 @@ func (c *CPU) Done() {
 // its critical section, so lock-protected shared structures need no separate
 // Go-level synchronization.
 //
+// A lock can be owned by one vCPU (Own): then only that vCPU may take it,
+// and its acquisitions and releases need no place in the global order.
+//
 // The zero value is unusable; create locks with Engine.NewLock.
 type Lock struct {
 	e    *Engine
 	name string
 
-	held    bool
-	holder  *CPU
+	// owner, when non-nil, is the only vCPU allowed to take the lock.
+	owner *CPU
+
+	holder  *CPU // nil while free
 	freeAt  int64
 	waiters []*CPU
 
@@ -1071,6 +1188,38 @@ func (e *Engine) NewLock(name string) *Lock {
 
 // Name returns the lock's diagnostic name.
 func (l *Lock) Name() string { return l.name }
+
+// Own dedicates the lock to vCPU c: from now on only c may take it, and any
+// other vCPU's Acquire aborts the run (see Engine.Err). The caller
+// guarantees what that makes true — the state the lock protects is reachable
+// from c alone — so c's acquisitions and releases need no place in the
+// global order: they never park or move the heap, and they record the same
+// statistics a gated acquisition would, at c's exact time. With still gates
+// once before a body that may touch shared state; WithPrivate declares a
+// body that cannot.
+//
+// The lock must be free with no waiters and must not have been released in
+// c's future. Call Own from c's goroutine, or before c starts running.
+func (l *Lock) Own(c *CPU) {
+	e := l.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case c.e != e:
+		panic("vclock: " + l.name + " owned by a vCPU of another engine")
+	case l.owner != nil:
+		panic("vclock: " + l.name + " is already owned")
+	case l.holder != nil || len(l.waiters) > 0:
+		panic("vclock: " + l.name + " owned while in use")
+	case l.freeAt > c.now+c.ahead+c.lazy:
+		panic("vclock: " + l.name + " owned before its last release")
+	}
+	l.owner = c
+	e.owned = append(e.owned, l)
+}
+
+// Owner returns the vCPU the lock is dedicated to, or nil.
+func (l *Lock) Owner() *CPU { return l.owner }
 
 // LockStats is a snapshot of a virtual lock's contention counters.
 type LockStats struct {
@@ -1094,6 +1243,57 @@ func (l *Lock) Stats() LockStats {
 	}
 }
 
+// acquireOwned takes an owned lock for its owner at the owner's exact time
+// (every pending charge folded in: the instant a gated Acquire issued now
+// would take effect at). The lock is always free by then: only the owner
+// takes it, and its clock never runs behind its own last release. The root
+// cascade may commit the owner's run-ahead pool concurrently (now and ahead
+// trade places), so the time is read under e.mu unless c holds the solo
+// grant.
+func (l *Lock) acquireOwned(c *CPU) {
+	if l.holder == c {
+		panic("vclock: recursive acquisition of " + l.name)
+	}
+	if c.soloFast() {
+		l.grantOwned(c, c.now+c.lazy)
+		c.soloEnd()
+	} else {
+		l.e.mu.Lock()
+		l.grantOwned(c, c.now+c.ahead+c.lazy)
+		l.e.mu.Unlock()
+	}
+	c.mark = c.lazy
+}
+
+func (l *Lock) grantOwned(c *CPU, t int64) {
+	l.holder = c
+	l.lastAcquire = t
+	l.acquisitions++
+}
+
+// releaseOwned drops an owned lock at the owner's exact time (see
+// acquireOwned); no waiter can exist.
+func (l *Lock) releaseOwned(c *CPU) {
+	if l.holder != c {
+		panic("vclock: release of " + l.name + " by non-holder")
+	}
+	if c.soloFast() {
+		l.dropOwned(c.now + c.lazy)
+		c.soloEnd()
+	} else {
+		l.e.mu.Lock()
+		l.dropOwned(c.now + c.ahead + c.lazy)
+		l.e.mu.Unlock()
+	}
+	c.mark = c.lazy
+}
+
+func (l *Lock) dropOwned(t int64) {
+	l.heldTime += t - l.lastAcquire
+	l.freeAt = t
+	l.holder = nil
+}
+
 // Acquire takes the lock on behalf of c, advancing c's clock past any
 // contention. Recursive acquisition panics.
 //
@@ -1103,12 +1303,20 @@ func (l *Lock) Stats() LockStats {
 // past c's slot applies the intent inline (see processRootLocked) at exactly
 // the virtual instant c would have acted, and c wakes only when it owns the
 // lock.
+//
+// The owner of an owned lock takes it without gating (see Own); any other
+// vCPU's Acquire of it aborts the run.
 func (l *Lock) Acquire(c *CPU) {
-	if c.soloFast() {
+	if l.owner == c {
+		l.acquireOwned(c)
+		return
+	}
+	c.gates++
+	if l.owner == nil && c.soloFast() {
 		// Sole runnable vCPU with no lock waiters: any held lock is held
 		// either by c itself (recursion error) or by a vCPU that already
 		// left the schedule — both are decided without the engine.
-		if l.held {
+		if l.holder != nil {
 			c.soloEnd()
 			if l.holder == c {
 				panic("vclock: recursive acquisition of " + l.name)
@@ -1117,17 +1325,14 @@ func (l *Lock) Acquire(c *CPU) {
 			// gated path, which parks exactly as the reference engine
 			// would.
 		} else {
-			if c.lazy != 0 {
-				c.now += c.lazy
-				c.Advanced += c.lazy
-				c.lazy = 0
-			}
+			d := c.takeLazy()
+			c.now += d
+			c.Advanced += d
 			if l.freeAt > c.now {
 				l.contended++
 				l.waitTime += l.freeAt - c.now
 				c.now = l.freeAt
 			}
-			l.held = true
 			l.holder = c
 			l.lastAcquire = c.now
 			l.acquisitions++
@@ -1139,7 +1344,12 @@ func (l *Lock) Acquire(c *CPU) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.checkAbortLocked()
-	if l.held && l.holder == c {
+	if l.owner != nil {
+		err := fmt.Errorf("vclock: vCPU %d acquired %s, owned by vCPU %d", c.id, l.name, l.owner.id)
+		e.abortLocked(err)
+		panic(engineAbort{err})
+	}
+	if l.holder == c {
 		panic("vclock: recursive acquisition of " + l.name)
 	}
 	if e.solo == c {
@@ -1154,7 +1364,7 @@ func (l *Lock) Acquire(c *CPU) {
 		// our real position; fall through to the intent path and let the
 		// root cascade commit the pool and then service the intent, both
 		// at the exact serial instants.)
-		if l.held {
+		if l.holder != nil {
 			// Park until a release hands the lock to us.
 			c.st = lockWait
 			e.heapRemove(c)
@@ -1166,6 +1376,7 @@ func (l *Lock) Acquire(c *CPU) {
 			}
 			// Handoff complete: Release already updated our clock and the
 			// lock bookkeeping.
+			e.gateLocked(c)
 			e.maybeEnterSoloLocked()
 			return
 		}
@@ -1177,7 +1388,6 @@ func (l *Lock) Acquire(c *CPU) {
 			c.now = l.freeAt
 			e.siftDown(c.hi)
 		}
-		l.held = true
 		l.holder = c
 		l.lastAcquire = c.now
 		l.acquisitions++
@@ -1192,6 +1402,12 @@ func (l *Lock) Acquire(c *CPU) {
 	for l.holder != c {
 		e.sleepLocked(c)
 	}
+	// A grant that boosted our clock to the previous holder's release
+	// time may have demoted us below vCPUs still acting at earlier slots.
+	// The critical section runs only from our slot: they may read the
+	// state this lock guards at their own gates (EnsureBacking probes
+	// EPT01 after a Sync), so it must not overlap them in real time.
+	e.gateLocked(c)
 	e.maybeEnterSoloLocked()
 }
 
@@ -1202,23 +1418,26 @@ func (l *Lock) Acquire(c *CPU) {
 // Release gates on the min-clock: every vCPU whose clock is behind the
 // release time has either advanced past it or joined the waiter queue by the
 // time the handoff is decided, so the queue contents — and therefore the
-// handoff order — are a pure function of virtual time.
+// handoff order — are a pure function of virtual time. The owner of an
+// owned lock releases it without gating (see Own).
 func (l *Lock) Release(c *CPU) {
+	if l.owner == c {
+		l.releaseOwned(c)
+		return
+	}
+	c.gates++
 	if c.soloFast() {
-		if !l.held || l.holder != c {
+		if l.holder != c {
 			c.soloEnd()
 			panic("vclock: release of " + l.name + " by non-holder")
 		}
 		// No waiter can exist (solo mode requires an empty engine-wide
 		// waiter count, and no other vCPU ran since it was granted).
-		if c.lazy != 0 {
-			c.now += c.lazy
-			c.Advanced += c.lazy
-			c.lazy = 0
-		}
+		d := c.takeLazy()
+		c.now += d
+		c.Advanced += d
 		l.heldTime += c.now - l.lastAcquire
 		l.freeAt = c.now
-		l.held = false
 		l.holder = nil
 		c.soloEnd()
 		return
@@ -1226,7 +1445,7 @@ func (l *Lock) Release(c *CPU) {
 	e := l.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !l.held || l.holder != c {
+	if l.holder != c {
 		panic("vclock: release of " + l.name + " by non-holder")
 	}
 	c.foldLocked()
@@ -1234,7 +1453,6 @@ func (l *Lock) Release(c *CPU) {
 	l.heldTime += c.now - l.lastAcquire
 	l.freeAt = c.now
 	if len(l.waiters) == 0 {
-		l.held = false
 		l.holder = nil
 		e.processRootLocked()
 		e.maybeEnterSoloLocked()
@@ -1260,22 +1478,29 @@ func (l *Lock) Release(c *CPU) {
 	l.acquisitions++
 	w.st = running
 	e.heapPush(w)
-	// Wake the recipient directly; it may not be the global minimum yet,
-	// but it must observe the handoff and re-park in gateLocked order on
-	// its next operation. It is safe for it to run: its critical section
-	// is ordered by the lock itself.
-	if w.waiting {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
+	// The recipient is woken when it reaches the root, not now: its
+	// critical section starts at its slot (see Acquire).
 	e.processRootLocked()
 }
 
 // With runs fn while holding the lock, charging hold nanoseconds of work
 // inside the critical section before releasing.
+//
+// On a lock c owns, the acquisition and release do not gate, but a body may
+// touch shared state (a frame allocator, say), so With gates once before a
+// non-nil fn — at the instant the gated Acquire would have. A body that
+// touches only state private to the owner is declared with WithPrivate.
 func (l *Lock) With(c *CPU, hold int64, fn func()) {
+	if fn != nil && l.owner == c {
+		c.Sync()
+	}
+	l.WithPrivate(c, hold, fn)
+}
+
+// WithPrivate is With for a body that touches only state private to the
+// lock's owner: on a lock c owns, the whole critical section runs without a
+// gate. On any other lock it is exactly With.
+func (l *Lock) WithPrivate(c *CPU, hold int64, fn func()) {
 	l.Acquire(c)
 	if fn != nil {
 		fn()
