@@ -34,7 +34,7 @@ check-bench-refs:
 	done; \
 	exit $$missing
 
-# fuzz sweeps the full metamorphic corpus (14 variants per seed, including
+# fuzz sweeps the full metamorphic corpus (13 variants per seed, including
 # the horizon-parallel engine at worker budgets 2 and 4, the lifecycle and
 # ranged VMA-mutation fast lanes disabled, and dirty-page logging armed)
 # plus the backend and bound-sandbox differential grids without the race

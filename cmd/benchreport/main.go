@@ -188,7 +188,7 @@ func main() {
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
 		EngineWorkers:       contentionWorkers,
 		Notes: []string{
-			"ranged = Process.TouchRange via Guest.AccessRange (run-length TLB resolution, per-node run links, one lazy advance per hit run)",
+			"ranged = Process.TouchRange via Guest.AccessRange (run-length TLB resolution through the open-addressed TLB index, one lazy advance per hit run)",
 			"per_page = Process.TouchRangeByPage, the per-page reference path the equivalence tests pin the fast path against",
 			"resident sweeps a 1024-page working set inside the 1536-entry TLB (steady-state all hits); faulting maps+touches+unmaps so every page replays the full miss choreography",
 			"cold_fault spawns a fresh solo process per 512-page chunk so every touch is a demand-zero fault against empty tables: the solo-vCPU engine bypass + bulk leaf population workload",

@@ -29,12 +29,6 @@ func (g *Guest) AuditProcess(p *guest.Process) error {
 	return nil
 }
 
-// DropTLBCaches invalidates the derived lookup caches of p's simulated TLB
-// (the micro-TLB and LookupRange run links) without touching any entry — a
-// fault-injection hook for the metamorphic harness: a dropped cache may only
-// cost re-derivation, never change an observable.
-func (g *Guest) DropTLBCaches(p *guest.Process) { pd(p).tlb.DropCaches() }
-
 // get returns the frame backing gpa without allocating.
 func (f *frameMap) get(gpa arch.PFN) (arch.PFN, bool) {
 	s := f.shard(gpa)

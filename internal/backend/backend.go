@@ -459,7 +459,7 @@ func (g *Guest) VM() *hv.VM { return g.vm }
 // --- guest.Platform implementation (delegation) ---
 
 // Params returns the system cost parameters.
-func (g *Guest) Params() cost.Params { return g.Sys.Prm }
+func (g *Guest) Params() *cost.Params { return &g.Sys.Prm }
 
 // Counters returns the system-wide counters.
 func (g *Guest) Counters() *metrics.Counters { return g.Sys.Ctr }

@@ -28,7 +28,7 @@ func newHWCPU(g *Guest, nested, sptCR3Trap bool) *hwCPU {
 func (u *hwCPU) roundTrip(p *guest.Process, handler int64) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	if u.nested {
 		g.l2ToL1(c)
 		c.AdvanceLazy(prm.NestedExitHousekeeping + handler)
@@ -43,7 +43,7 @@ func (u *hwCPU) roundTrip(p *guest.Process, handler int64) {
 func (u *hwCPU) syscall(p *guest.Process, body int64) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	if u.sptCR3Trap && g.Sys.Opt.KPTI {
 		// KPTI under shadow paging: the entry and exit CR3 loads each
 		// trap to the shadowing hypervisor to switch shadow roots.
@@ -62,7 +62,7 @@ func (u *hwCPU) syscall(p *guest.Process, body int64) {
 func (u *hwCPU) privOp(p *guest.Process, op arch.PrivOp) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ctr := g.Sys.Ctr
 	switch op {
 	case arch.OpHypercall:
@@ -119,7 +119,7 @@ func (u *hwCPU) halt(p *guest.Process) {
 func (u *hwCPU) interrupt(p *guest.Process, vector uint8) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	if u.nested {
 		// External interrupt: exit to L0, injection forwarded into L1,
 		// which re-injects into L2 — with additional exits for the
@@ -139,7 +139,7 @@ func (u *hwCPU) interrupt(p *guest.Process, vector uint8) {
 func (u *hwCPU) ioKick(p *guest.Process) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	if u.nested {
 		// Doorbell exits to L0, forwarded to vhost in L1; L1 performs
 		// the real I/O through its own virtio to L0.
@@ -218,7 +218,7 @@ func (u *pvmCPU) roundTrip(p *guest.Process, handler int64) {
 func (u *pvmCPU) syscall(p *guest.Process, body int64) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ctr := g.Sys.Ctr
 	d := pd(p)
 	if g.Sys.Opt.DirectSwitch {
@@ -252,7 +252,7 @@ func (u *pvmCPU) syscall(p *guest.Process, body int64) {
 func (u *pvmCPU) privOp(p *guest.Process, op arch.PrivOp) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ctr := g.Sys.Ctr
 	switch op {
 	case arch.OpHypercall:
@@ -314,7 +314,7 @@ func (u *pvmCPU) halt(p *guest.Process) {
 func (u *pvmCPU) interrupt(p *guest.Process, vector uint8) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	m := u.mmu()
 	if u.nested {
 		// One exit to L0, which injects the interrupt into the L1 VM
@@ -341,7 +341,7 @@ func (u *pvmCPU) interrupt(p *guest.Process, vector uint8) {
 func (u *pvmCPU) ioKick(p *guest.Process) {
 	g := u.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	u.roundTrip(p, prm.VirtioKick)
 	if u.nested {
 		// L1's vhost performs the real I/O through its own virtio to L0.

@@ -26,9 +26,9 @@ import (
 //
 // Both lanes gate TLB inserts while armed: a translation inserted on a read
 // miss must not cache write permission, or a later write would hit the TLB
-// and dirty the page unrecorded. This also severs the ranged-access
-// fast path's write-run links for unlogged pages — LookupRange stops a write
-// run at the first entry without cached write permission.
+// and dirty the page unrecorded. This also ends the ranged-access fast
+// path's write runs at unlogged pages — LookupRange stops a write run at the
+// first entry without cached write permission.
 //
 // Epoch state lives in procData and dies with it on exec/exit; collectors
 // re-arm after exec if they want to keep logging.
@@ -121,7 +121,7 @@ func (g *Guest) pmlRecord(c *vclock.CPU, d *procData, va arch.VA, write bool, ne
 	if !st.record(va) {
 		return
 	}
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	g.Sys.Ctr.DirtyMarks.Add(1)
 	c.AdvanceLazy(prm.PMLRecord)
 	st.ring = append(st.ring, va)
@@ -164,7 +164,7 @@ func (g *Guest) shadowDirtyStart(p *guest.Process, ops shadowDirtyOps) {
 		d.dirty = &dirtyState{set: make(map[arch.VA]struct{})}
 	}
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ops.exit()
 	if ops.replay != nil {
 		ops.replay()
@@ -183,7 +183,7 @@ func (g *Guest) shadowDirtyStart(p *guest.Process, ops shadowDirtyOps) {
 func (g *Guest) shadowDirtyCollect(p *guest.Process, ops shadowDirtyOps) []arch.VA {
 	d := pd(p)
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ops.exit()
 	if ops.replay != nil {
 		ops.replay()
@@ -205,7 +205,7 @@ func (g *Guest) shadowDirtyCollect(p *guest.Process, ops shadowDirtyOps) []arch.
 func (g *Guest) shadowDirtyStop(p *guest.Process, ops shadowDirtyOps) {
 	d := pd(p)
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ops.exit()
 	if ops.replay != nil {
 		ops.replay()
@@ -226,7 +226,7 @@ func (g *Guest) pmlDirtyStart(p *guest.Process, nested bool) {
 		d.dirty = &dirtyState{set: make(map[arch.VA]struct{})}
 	}
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	if nested {
 		g.l2ToL1(c)
 	} else {
@@ -249,7 +249,7 @@ func (g *Guest) pmlDirtyStart(p *guest.Process, nested bool) {
 func (g *Guest) pmlDirtyCollect(p *guest.Process, nested bool) []arch.VA {
 	d := pd(p)
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	st := d.dirty
 	if nested {
 		g.l2ToL1(c)
@@ -276,7 +276,7 @@ func (g *Guest) pmlDirtyCollect(p *guest.Process, nested bool) []arch.VA {
 func (g *Guest) pmlDirtyStop(p *guest.Process, nested bool) {
 	d := pd(p)
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	st := d.dirty
 	if nested {
 		g.l2ToL1(c)

@@ -84,7 +84,7 @@ func (m *eptMMU) accessRange(p *guest.Process, va arch.VA, pages int, write bool
 func (m *eptMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, r *pagetable.Reader) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 
 	e, _, fault := r.Walk(va, write, true)
 	if fault != nil {

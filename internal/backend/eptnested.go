@@ -81,7 +81,7 @@ func (m *eptNestedMMU) onEPT12Write(ev pagetable.WriteEvent) {
 		panic("backend/eptnested: EPT12 store outside violation handling")
 	}
 	g := m.g
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ctr := g.Sys.Ctr
 	ctr.PTEWriteTraps.Add(1)
 	// L1 → L0 exit and return: two world switches, one L0 exit.
@@ -151,7 +151,7 @@ func (m *eptNestedMMU) accessRange(p *guest.Process, va arch.VA, pages int, writ
 func (m *eptNestedMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, r *pagetable.Reader) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 
 	e, _, fault := r.Walk(va, write, true)
 	if fault != nil {
@@ -204,7 +204,7 @@ func (m *eptNestedMMU) dirtyStop(p *guest.Process) { m.g.pmlDirtyStop(p, true) }
 func (m *eptNestedMMU) ept02Violation(p *guest.Process, gpa arch.PFN) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 
 	// Steps 1–3: EPT violation exits to L0, which injects it into L1.
 	g.l2ToL1(c)
@@ -257,7 +257,7 @@ func (m *eptNestedMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	g := m.g
 	c := p.CPU
 	d := pd(p)
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	d.tlb.FlushPage(g.VPID, d.pcidUser, va)
 
 	l1gpa, ok := m.backing.remove(gpa)

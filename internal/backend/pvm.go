@@ -87,7 +87,7 @@ func (m *pvmMMU) bind(c *vclock.CPU) { m.locks.Own(c) }
 func (m *pvmMMU) unregister(p *guest.Process) {
 	p.GPT.OnWrite = nil
 	d := pd(p)
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	hold := prm.PVMSPTFix + int64(d.shadow.MappedLeaves())*prm.SPTZapLeaf
 	lock := m.locks.Coarse
 	if m.locks.Mode == core.FineLock {
@@ -129,7 +129,7 @@ func (m *pvmMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 	g := m.g
 	c := p.CPU
 	d := pd(p)
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	if g.Sys.Opt.CollaborativeSync {
 		// Log entry in the shared ring: one cache-line store.
 		c.AdvanceLazy(prm.PTEWrite)
@@ -218,7 +218,7 @@ func (m *pvmMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, 
 func (m *pvmMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 
 	// Classification: guest fault (the guest's own table lacks a valid
 	// mapping) or shadow-only fault.
@@ -305,7 +305,7 @@ func (m *pvmMMU) syncReplay(p *guest.Process, d *procData) {
 	}
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	log := d.syncLog
 	d.syncLog = d.syncLog[:0]
 	// Replay cost: a fraction of the trapped-emulation cost per entry
@@ -330,7 +330,7 @@ func (m *pvmMMU) syncReplay(p *guest.Process, d *procData) {
 // dirty logging is armed, a read miss must not cache write permission (see
 // sptMMU.refill).
 func (m *pvmMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entry, write bool) {
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	if m.nested {
 		c.AdvanceLazy(prm.TLBRefill2D) // SPT12 × EPT01
 	} else {
@@ -353,7 +353,7 @@ func (m *pvmMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entr
 func (m *pvmMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 	c := p.CPU
 	d := pd(p)
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	lock := m.locks.Coarse
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.Meta
@@ -388,7 +388,7 @@ func (m *pvmMMU) dirtyStop(p *guest.Process) { m.g.shadowDirtyStop(p, m.dirtyOps
 func (m *pvmMMU) fixSPT(p *guest.Process, d *procData, va arch.VA, prefault bool) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ge, ok := p.GPT.Lookup(va)
 	if !ok {
 		panic("backend/pvm: fixSPT with no guest mapping")
@@ -465,7 +465,7 @@ func (m *pvmMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 func (m *pvmMMU) flushRange(p *guest.Process, pages int) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	d := pd(p)
 	g.Sys.Ctr.Hypercalls.Add(1) // flush_tlb_range hypercall
 	var remote int64

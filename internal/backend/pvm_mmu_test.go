@@ -81,13 +81,9 @@ func TestPVMFlushRangeShootdownEmptiesTLB(t *testing.T) {
 		if d.tlb.Len() == 0 {
 			t.Fatal("TLB empty after touching 8 pages")
 		}
-		gen := d.tlb.Generation()
 		g.mmu.flushRange(p, 8)
 		if got := d.tlb.Len(); got != 0 {
 			t.Errorf("TLB entries after VPID shootdown = %d, want 0", got)
-		}
-		if d.tlb.Generation() == gen {
-			t.Error("micro-TLB generation did not advance across the shootdown")
 		}
 	})
 	s.Eng.Wait()

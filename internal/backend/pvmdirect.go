@@ -88,7 +88,7 @@ func (m *pvmDirectMMU) bind(c *vclock.CPU) { m.locks.Own(c) }
 func (m *pvmDirectMMU) unregister(p *guest.Process) {
 	p.GPT.OnWrite = nil
 	d := pd(p)
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	hold := prm.PVMSPTFix + int64(d.sptUser.CountMapped())*prm.DirectZapLeaf
 	d.sptMapper.Reset() // cached leaf must not outlive Destroy
 	lock := m.locks.Coarse
@@ -171,7 +171,7 @@ func (m *pvmDirectMMU) resolve(p *guest.Process, d *procData, va arch.VA, write 
 func (m *pvmDirectMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 
 	// #PF through the switcher into PVM.
 	m.exit(p)
@@ -215,7 +215,7 @@ func (m *pvmDirectMMU) fault(p *guest.Process, d *procData, va arch.VA, write bo
 func (m *pvmDirectMMU) applyBatch(p *guest.Process, d *procData) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	if len(d.syncLog) == 0 {
 		return
 	}
@@ -273,7 +273,7 @@ func (m *pvmDirectMMU) install(p *guest.Process, d *procData, va arch.VA, ge pag
 // dirty logging is armed, a read miss must not cache write permission (see
 // sptMMU.refill).
 func (m *pvmDirectMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entry, write bool) {
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	if m.nested {
 		c.AdvanceLazy(prm.TLBRefill2D)
 	} else {
@@ -296,7 +296,7 @@ func (m *pvmDirectMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetabl
 func (m *pvmDirectMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 	c := p.CPU
 	d := pd(p)
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	lock := m.locks.Coarse
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.Meta
@@ -362,7 +362,7 @@ func (m *pvmDirectMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 func (m *pvmDirectMMU) flushRange(p *guest.Process, pages int) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	d := pd(p)
 	g.Sys.Ctr.Hypercalls.Add(1)
 	m.exit(p)

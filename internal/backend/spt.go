@@ -115,7 +115,7 @@ func (m *sptMMU) unregister(p *guest.Process) {
 	p.GPT.OnWrite = nil
 	d := pd(p)
 	// Unshadowing: zap and free the shadow tables under the mmu_lock.
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	hold := m.hold(prm.SPTFix) + int64(d.sptUser.CountMapped())*prm.SPTZapLeaf
 	d.sptMapper.Reset() // cached leaf must not outlive Destroy
 	m.mmuLock.With(p.CPU, hold, func() {
@@ -210,7 +210,7 @@ func (m *sptMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, 
 func (m *sptMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 
 	// #PF on the shadow table: trap to the shadowing hypervisor.
 	m.exit(c)
@@ -244,7 +244,7 @@ func (m *sptMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
 // shadow leaf may be writable (e.g. freshly demand-zero fixed), and a later
 // write hitting the TLB would dirty the page unrecorded.
 func (m *sptMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entry, write bool) {
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	if m.nested {
 		c.AdvanceLazy(prm.TLBRefill2D) // SPT12 × EPT01 two-dimensional walk
 	} else {
@@ -267,7 +267,7 @@ func (m *sptMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entr
 func (m *sptMMU) fixSPT(p *guest.Process, d *procData, va arch.VA) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ge, ok := p.GPT.Lookup(va)
 	if !ok {
 		panic("backend/spt: fixSPT with no guest mapping")
@@ -331,7 +331,7 @@ func (m *sptMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 func (m *sptMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 	c := p.CPU
 	d := pd(p)
-	prm := m.g.Sys.Prm
+	prm := &m.g.Sys.Prm
 	return shadowDirtyOps{
 		exit:  func() { m.exit(c) },
 		entry: func() { m.entry(c, p) },
@@ -361,7 +361,7 @@ func (m *sptMMU) dirtyStop(p *guest.Process) { m.g.shadowDirtyStop(p, m.dirtyOps
 func (m *sptMMU) flushRange(p *guest.Process, pages int) {
 	g := m.g
 	c := p.CPU
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	// The live-process count is shared mutable state read outside any
 	// virtual lock: gate, then read immediately — before any charge — so
 	// the read happens at the gate's virtual instant. (Interposing even a

@@ -52,7 +52,7 @@ func (g *Guest) entryHW(c *vclock.CPU) {
 // accesses is a further trap to L0 (§2.1: 40–50 exits per switch).
 func (g *Guest) l2ToL1(c *vclock.CPU) {
 	ctr := g.Sys.Ctr
-	prm := g.Sys.Prm
+	prm := &g.Sys.Prm
 	ctr.Switch(metrics.SwitchNestedHop)
 	ctr.Switch(metrics.SwitchNestedHop)
 	ctr.L0Exits.Add(1)

@@ -27,9 +27,8 @@ type Variant struct {
 	Workers      int  // ≥ 2: vclock horizon-parallel executor at that worker budget
 
 	// Fault injections, applied at every generated checkpoint.
-	DropTLBCaches bool // invalidate the TLB's micro-TLB and run links
-	RevokeSolo    bool // force a solo-bypass revocation
-	SpuriousSync  bool // gate the vCPU for no reason
+	RevokeSolo   bool // force a solo-bypass revocation
+	SpuriousSync bool // gate the vCPU for no reason
 
 	// DirtyLog arms dirty-page logging on every worker, collecting an epoch
 	// at each generated checkpoint (and around exec). Logging lawfully
@@ -47,7 +46,6 @@ func Variants() []Variant {
 		{Name: "solo-off", SoloOff: true},
 		{Name: "cursor-bypass", CursorBypass: true},
 		{Name: "eager-charges", Eager: true},
-		{Name: "drop-tlb-caches", DropTLBCaches: true},
 		{Name: "revoke-solo", RevokeSolo: true},
 		{Name: "spurious-sync", SpuriousSync: true},
 		{Name: "lifecycle-off", LifecycleOff: true},
@@ -56,7 +54,7 @@ func Variants() []Variant {
 		{Name: "dirtylog-on", DirtyLog: true},
 		{Name: "vma-off", VMAOff: true},
 		{Name: "everything", ByPage: true, SoloOff: true, CursorBypass: true,
-			Eager: true, LifecycleOff: true, VMAOff: true, DropTLBCaches: true,
+			Eager: true, LifecycleOff: true, VMAOff: true,
 			RevokeSolo: true, SpuriousSync: true, Workers: 4},
 	}
 }
@@ -423,9 +421,6 @@ func (in *interp) runOps(ctx *pctx, ops []Op) {
 // structural invariant audit that holds at an operation boundary.
 func (in *interp) checkpoint(ctx *pctx) {
 	c := ctx.p.CPU
-	if in.v.DropTLBCaches {
-		in.g.DropTLBCaches(ctx.p)
-	}
 	if in.v.RevokeSolo {
 		in.sys.Eng.RevokeSolo()
 	}

@@ -28,7 +28,7 @@ import (
 // Platform is the virtualization stack under the guest kernel. Implemented
 // by package backend, one strategy per paper configuration.
 type Platform interface {
-	Params() cost.Params
+	Params() *cost.Params
 	Counters() *metrics.Counters
 	Engine() *vclock.Engine
 	KPTI() bool

@@ -34,7 +34,7 @@ func newFakePlatform() *fakePlatform {
 	}
 }
 
-func (f *fakePlatform) Params() cost.Params          { return f.prm }
+func (f *fakePlatform) Params() *cost.Params         { return &f.prm }
 func (f *fakePlatform) Counters() *metrics.Counters  { return f.ctr }
 func (f *fakePlatform) Engine() *vclock.Engine       { return f.eng }
 func (f *fakePlatform) KPTI() bool                   { return true }

@@ -167,7 +167,7 @@ func (vm *VM) EnsureBacking(c *vclock.CPU, gpa arch.PFN) (arch.PFN, bool) {
 		hpa := vm.mapBacking(gpa)
 		return hpa, false
 	}
-	p := vm.Host.Prm
+	p := &vm.Host.Prm
 	ctr := vm.Host.Ctr
 	// VM exit to L0.
 	ctr.Switch(metrics.SwitchHW)

@@ -22,14 +22,14 @@ import (
 // Global and kernel-half leaves — those are hypervisor state (the switcher),
 // not logged guest memory.
 func (pt *PageTable) WriteProtectLeaves(match func(va arch.VA, e Entry) bool) int {
-	return pt.protectFrom(pt.tables[pt.root], arch.PTLevels, 0, match)
+	return pt.protectFrom(pt.top, arch.PTLevels, 0, match)
 }
 
 func (pt *PageTable) protectFrom(t *table, level int, base arch.VA, match func(arch.VA, Entry) bool) int {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	n := 0
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
+		e := t.entries[i].entry()
 		if !e.Flags.Has(Present) {
 			continue
 		}
@@ -45,7 +45,7 @@ func (pt *PageTable) protectFrom(t *table, level int, base arch.VA, match func(a
 			n++
 			continue
 		}
-		n += pt.protectFrom(pt.tables[e.PFN], level-1, va, match)
+		n += pt.protectFrom(t.child[i], level-1, va, match)
 	}
 	return n
 }
@@ -59,25 +59,24 @@ func (pt *PageTable) protectFrom(t *table, level int, base arch.VA, match func(a
 // logging lanes against on configurations whose guest tables have
 // hardware-maintained A/D bits (ept, eptnested).
 func (pt *PageTable) ScanClearDirty(fn func(va arch.VA)) {
-	pt.scanClearFrom(pt.tables[pt.root], arch.PTLevels, 0, fn)
+	pt.scanClearFrom(pt.top, arch.PTLevels, 0, fn)
 }
 
 func (pt *PageTable) scanClearFrom(t *table, level int, base arch.VA, fn func(arch.VA)) {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
+		e := t.entries[i].entry()
 		if !e.Flags.Has(Present) {
 			continue
 		}
 		va := base + arch.VA(i)*span
 		if level == 1 || e.Flags.Has(Large) {
 			if e.Flags.Has(Dirty) {
-				e.Flags &^= Dirty
-				t.entries[i] = e
+				t.entries[i] &^= pte(Dirty)
 				fn(va)
 			}
 			continue
 		}
-		pt.scanClearFrom(pt.tables[e.PFN], level-1, va, fn)
+		pt.scanClearFrom(t.child[i], level-1, va, fn)
 	}
 }

@@ -54,8 +54,8 @@ func (pt *PageTable) Clone(dst *PageTable, h CloneHooks) (leaves int, err error)
 	if dst.OnWrite != nil {
 		return 0, fmt.Errorf("pagetable: Clone into a hooked (shadowed) table")
 	}
-	src := pt.tables[pt.root]
-	dstRoot := dst.tables[dst.root]
+	src := pt.top
+	dstRoot := dst.top
 	writes := 0
 	defer func() {
 		// Accrue the child-side bulk stats even on an aborted clone: the
@@ -66,16 +66,15 @@ func (pt *PageTable) Clone(dst *PageTable, h CloneHooks) (leaves int, err error)
 	}()
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(arch.PTLevels-1))
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := src.entries[i]
-		if !e.Flags.Has(Present) {
+		if !src.entries[i].flags().Has(Present) {
 			continue
 		}
 		va := arch.VA(i) * span
-		sub, subPFN, l, w, serr := pt.cloneSub(pt.tables[e.PFN], arch.PTLevels-1, va, dst, h)
+		sub, subPFN, l, w, serr := pt.cloneSub(src.child[i], arch.PTLevels-1, va, dst, h)
 		leaves += l
 		writes += w
 		if sub != nil {
-			dstRoot.entries[i] = Entry{PFN: subPFN, Flags: Present | Writable | User}
+			linkClone(dstRoot, i, sub, subPFN)
 			writes++
 		}
 		if serr != nil {
@@ -85,15 +84,24 @@ func (pt *PageTable) Clone(dst *PageTable, h CloneHooks) (leaves int, err error)
 	return leaves, nil
 }
 
+// linkClone stores the child-side link to sub (frame pfn) at slot i of the
+// upper-level table t, silently: the child table is not yet shadowed.
+func linkClone(t *table, i int, sub *table, pfn arch.PFN) {
+	t.child[i] = sub
+	t.entries[i] = packPTE(Entry{PFN: pfn, Flags: Present | Writable | User})
+}
+
 // cloneSub clones one subtree below the root, allocating the child-side
 // table lazily so leaf-empty subtrees produce nothing. It returns the child
 // table (nil when the subtree held no leaves) along with its frame and the
 // leaf/store counts. On error the partially filled child table, if any, is
-// still returned so the caller links it for the unwinding Destroy.
+// still returned so the caller links it for the unwinding Destroy; a
+// finished subtree that cannot be linked because its parent's table could
+// not be allocated is freed here, since no Destroy could reach it.
 func (pt *PageTable) cloneSub(src *table, level int, base arch.VA, dst *PageTable, h CloneHooks) (out *table, outPFN arch.PFN, leaves, writes int, err error) {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := src.entries[i]
+		e := src.entries[i].entry()
 		if !e.Flags.Has(Present) {
 			continue
 		}
@@ -118,30 +126,34 @@ func (pt *PageTable) cloneSub(src *table, level int, base arch.VA, dst *PageTabl
 				}
 			}
 			if out == nil {
-				if out, outPFN, err = dst.ensureCloneTable(); err != nil {
+				if out, outPFN, err = dst.ensureCloneTable(level); err != nil {
 					return out, outPFN, leaves, writes, err
 				}
 			}
 			ce := e
 			ce.Flags &^= Writable | Accessed | Dirty
-			out.entries[i] = ce
+			out.entries[i] = packPTE(ce)
 			leaves++
 			writes++
 			continue
 		}
-		sub, subPFN, l, w, serr := pt.cloneSub(pt.tables[e.PFN], level-1, va, dst, h)
+		sub, subPFN, l, w, serr := pt.cloneSub(src.child[i], level-1, va, dst, h)
 		leaves += l
 		writes += w
 		if sub != nil {
 			if out == nil {
-				if out, outPFN, err = dst.ensureCloneTable(); err != nil {
-					// The freshly built subtree is linked nowhere; it is
-					// still registered in dst.tables under its own frame,
-					// so the unwinding Destroy finds it.
+				if out, outPFN, err = dst.ensureCloneTable(level); err != nil {
+					// The freshly built subtree has no parent to link
+					// it, so free it now.
+					n, ferr := freeTree(dst.alloc, sub, subPFN, level-1)
+					dst.stats.Tables -= int64(n)
+					if ferr != nil {
+						return out, outPFN, leaves, writes, ferr
+					}
 					return out, outPFN, leaves, writes, err
 				}
 			}
-			out.entries[i] = Entry{PFN: subPFN, Flags: Present | Writable | User}
+			linkClone(out, i, sub, subPFN)
 			writes++
 		}
 		if serr != nil {
@@ -151,26 +163,24 @@ func (pt *PageTable) cloneSub(src *table, level int, base arch.VA, dst *PageTabl
 	return out, outPFN, leaves, writes, nil
 }
 
-// ensureCloneTable allocates and registers one child-side table frame for a
+// ensureCloneTable allocates one child-side table frame at level for a
 // subtree that turned out to hold at least one present leaf.
-func (pt *PageTable) ensureCloneTable() (*table, arch.PFN, error) {
+func (pt *PageTable) ensureCloneTable(level int) (*table, arch.PFN, error) {
 	pfn, err := pt.alloc.Alloc()
 	if err != nil {
 		return nil, 0, err
 	}
-	t := newTable()
-	pt.tables[pfn] = t
 	pt.stats.Tables++
-	return t, pfn, nil
+	return newTable(level), pfn, nil
 }
 
 // ReleaseSubtree tears the whole table down: every present leaf (4 KiB and
 // 2 MiB Large alike) is reported to the release callback in ascending VA
 // order, batched table-by-table rather than one callback per page, and the
 // table frames themselves are then freed back to the allocator in one batch,
-// in deterministic DFS post-order (the reference Destroy frees them in map
-// iteration order — both orders are unobservable, but determinism costs
-// nothing here). The callback owns the data frames: it decrements their
+// in deterministic DFS post-order (the reference Destroy frees them in
+// ascending frame order — both orders are unobservable, but determinism
+// costs nothing here). The callback owns the data frames: it decrements their
 // reference counts, releasing backing for sole-owned frames before they can
 // reach the free list. After ReleaseSubtree returns nil the PageTable must
 // not be used again.
@@ -183,37 +193,38 @@ func (pt *PageTable) ReleaseSubtree(release func(vas []arch.VA, pfns []arch.PFN)
 	// would otherwise be heap-allocated on every teardown — escape analysis
 	// cannot keep them on the stack across the recursive walk.
 	st := releasePool.Get().(*releaseState)
-	st.pt, st.release, st.n, st.frames = pt, release, 0, st.frames[:0]
+	st.pt, st.release, st.n, st.frames, st.tables = pt, release, 0, st.frames[:0], st.tables[:0]
 	defer func() {
 		st.pt, st.release = nil, nil
+		clear(st.tables)
 		releasePool.Put(st)
 	}()
-	if err := st.walk(pt.tables[pt.root], pt.root, arch.PTLevels, 0); err != nil {
+	if err := st.walk(pt.top, pt.root, arch.PTLevels, 0); err != nil {
 		return err
 	}
 	if err := st.flush(); err != nil {
 		return err
 	}
-	if len(st.frames) != len(pt.tables) {
-		// Every table is linked from its parent by a Present entry (Unmap
-		// never clears intermediate entries), so the walk must have seen
-		// them all; anything else is a structural corruption.
-		return fmt.Errorf("pagetable: ReleaseSubtree visited %d of %d tables", len(st.frames), len(pt.tables))
+	if int64(len(st.frames)) != pt.stats.Tables {
+		// Every live table is linked from its parent (Unmap never clears
+		// intermediate entries), so the walk must have seen as many as
+		// were allocated; anything else is a structural corruption.
+		return fmt.Errorf("pagetable: ReleaseSubtree visited %d of %d tables", len(st.frames), pt.stats.Tables)
 	}
 	if err := pt.alloc.FreeBatch(st.frames); err != nil {
 		return err
 	}
-	for _, pfn := range st.frames {
-		putTable(pt.tables[pfn])
+	for _, t := range st.tables {
+		putTable(t)
 	}
-	pt.tables = nil
+	pt.top = nil
 	pt.stats.Tables = 0
 	return nil
 }
 
 // releaseState is ReleaseSubtree's walk state: the per-table leaf batch and
-// the table frames collected in DFS post-order. Pooled because concurrent
-// vCPUs can tear address spaces down simultaneously.
+// the tables and their frames collected in DFS post-order. Pooled because
+// concurrent vCPUs can tear address spaces down simultaneously.
 type releaseState struct {
 	pt      *PageTable
 	release func(vas []arch.VA, pfns []arch.PFN) error
@@ -221,6 +232,7 @@ type releaseState struct {
 	pfnBuf  [arch.EntriesPerTable]arch.PFN
 	n       int
 	frames  []arch.PFN
+	tables  []*table
 }
 
 var releasePool = sync.Pool{New: func() any { return new(releaseState) }}
@@ -237,7 +249,7 @@ func (st *releaseState) flush() error {
 func (st *releaseState) walk(t *table, pfn arch.PFN, level int, base arch.VA) error {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
+		e := t.entries[i].entry()
 		if !e.Flags.Has(Present) {
 			continue
 		}
@@ -252,10 +264,11 @@ func (st *releaseState) walk(t *table, pfn arch.PFN, level int, base arch.VA) er
 			st.n++
 			continue
 		}
-		if err := st.walk(st.pt.tables[e.PFN], e.PFN, level-1, va); err != nil {
+		if err := st.walk(t.child[i], e.PFN, level-1, va); err != nil {
 			return err
 		}
 	}
 	st.frames = append(st.frames, pfn)
+	st.tables = append(st.tables, t)
 	return nil
 }

@@ -11,6 +11,7 @@
 package pagetable
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -123,29 +124,84 @@ type Stats struct {
 	Tables    int64 // live table frames, including the root
 }
 
-type table struct {
-	entries [arch.EntriesPerTable]Entry
+// pte is an Entry as a table stores it: PFN<<16 | Flags. Packing halves a
+// table's entry array to 4 KiB (see table for what that buys).
+type pte uint64
+
+// pfnBits bounds a packable PFN: 64 bits less the 16 flag bits.
+const pfnBits = 64 - 16
+
+// packPTE packs e, panicking rather than aliasing a PFN beyond 48 bits.
+func packPTE(e Entry) pte {
+	if e.PFN >= 1<<pfnBits {
+		panic("pagetable: PFN out of packable range")
+	}
+	return pte(e.PFN)<<16 | pte(e.Flags)
 }
 
-// tablePool recycles table frames (~8 KiB each) across page tables and
-// engines. Fork/exit-heavy workloads churn thousands of frames; recycling
-// them removes the dominant allocation (and GC pressure) of the simulator's
-// memory hot path. Frames are zeroed when returned, so a pooled frame is
-// indistinguishable from a fresh one and determinism is unaffected.
-var tablePool = sync.Pool{New: func() any { return new(table) }}
+// entry unpacks p.
+func (p pte) entry() Entry { return Entry{PFN: arch.PFN(p >> 16), Flags: Flags(p)} }
 
-func newTable() *table { return tablePool.Get().(*table) }
+// flags returns p's flag bits without unpacking the PFN.
+func (p pte) flags() Flags { return Flags(p) }
+
+// children links an upper-level table's next-level tables by index.
+type children [arch.EntriesPerTable]*table
+
+// table is one radix table. Upper-level tables (levels 2..PTLevels) carry
+// child links: child[i] is the table entries[i] names exactly when that
+// entry is Present and not Large, so a walk descends by pointer load. Leaf
+// tables (level 1) have no child array. Both the table and the child array
+// take one 4864-byte slot (Go adds an 8-byte type header to pointerful
+// objects), inside the 8 KiB size class a table of unpacked entries filled;
+// a link in such a table would have pushed it to the next class.
+type table struct {
+	child   *children // nil on leaf tables; first, so the GC scans one word
+	entries [arch.EntriesPerTable]pte
+}
+
+// leafPool and upperPool recycle leaf tables and upper-level tables (each
+// with its child array attached) across page tables and engines.
+// Fork/exit-heavy workloads churn thousands of tables; recycling them
+// removes the dominant allocation (and GC pressure) of the simulator's
+// memory hot path. Tables are zeroed when returned, so a pooled table is
+// indistinguishable from a fresh one and determinism is unaffected.
+var (
+	leafPool  = sync.Pool{New: func() any { return new(table) }}
+	upperPool = sync.Pool{New: func() any { return &table{child: new(children)} }}
+)
+
+// newTable returns an empty table for the given level, with a child array
+// when it is an upper-level table.
+func newTable(level int) *table {
+	if level > 1 {
+		return upperPool.Get().(*table)
+	}
+	return leafPool.Get().(*table)
+}
 
 func putTable(t *table) {
-	*t = table{}
-	tablePool.Put(t)
+	t.entries = [arch.EntriesPerTable]pte{}
+	if t.child != nil {
+		*t.child = children{}
+		upperPool.Put(t)
+		return
+	}
+	leafPool.Put(t)
+}
+
+// link stores a table entry at upper-level slot idx naming sub (frame pfn)
+// as the next-level table, through write.
+func (pt *PageTable) link(level int, va arch.VA, t *table, idx int, sub *table, pfn arch.PFN) {
+	t.child[idx] = sub
+	pt.write(level, va, false, t, idx, Entry{PFN: pfn, Flags: Present | Writable | User})
 }
 
 // PageTable is a 4-level radix translation structure.
 type PageTable struct {
-	alloc  *mem.Allocator
-	root   arch.PFN
-	tables map[arch.PFN]*table
+	alloc *mem.Allocator
+	root  arch.PFN
+	top   *table // the root table
 
 	// OnWrite, when non-nil, observes every PTE store (including stores
 	// creating intermediate tables). Virtualization layers use it to
@@ -162,9 +218,9 @@ func New(alloc *mem.Allocator) (*PageTable, error) {
 		return nil, err
 	}
 	pt := &PageTable{
-		alloc:  alloc,
-		root:   root,
-		tables: map[arch.PFN]*table{root: newTable()},
+		alloc: alloc,
+		root:  root,
+		top:   newTable(arch.PTLevels),
 	}
 	pt.stats.Tables = 1
 	return pt, nil
@@ -177,7 +233,7 @@ func (pt *PageTable) Root() arch.PFN { return pt.root }
 func (pt *PageTable) Stats() Stats { return pt.stats }
 
 func (pt *PageTable) write(level int, va arch.VA, leaf bool, t *table, idx int, e Entry) {
-	t.entries[idx] = e
+	t.entries[idx] = packPTE(e)
 	pt.stats.PTEWrites++
 	if pt.OnWrite != nil {
 		pt.OnWrite(WriteEvent{Level: level, VA: va, Leaf: leaf, Entry: e})
@@ -192,22 +248,16 @@ func (pt *PageTable) Map(va arch.VA, pfn arch.PFN, flags Flags) (writes int, err
 	if !va.Canonical() {
 		return 0, fmt.Errorf("pagetable: non-canonical address %#x", va)
 	}
-	t := pt.tables[pt.root]
+	t := pt.top
 	for level := arch.PTLevels; level > 1; level-- {
 		idx := va.Index(level)
-		e := t.entries[idx]
-		if !e.Flags.Has(Present) {
-			sub, aerr := pt.alloc.Alloc()
-			if aerr != nil {
-				return writes, aerr
+		if !t.entries[idx].flags().Has(Present) {
+			if err := pt.grow(level, va, t, idx); err != nil {
+				return writes, err
 			}
-			pt.tables[sub] = newTable()
-			pt.stats.Tables++
-			e = Entry{PFN: sub, Flags: Present | Writable | User}
-			pt.write(level, va, false, t, idx, e)
 			writes++
 		}
-		t = pt.tables[e.PFN]
+		t = t.child[idx]
 	}
 	idx := va.Index(1)
 	pt.write(1, va, true, t, idx, Entry{PFN: pfn, Flags: flags | Present})
@@ -225,25 +275,19 @@ func (pt *PageTable) MapLarge(va arch.VA, pfn arch.PFN, flags Flags) (writes int
 		return 0, fmt.Errorf("pagetable: non-canonical address %#x", va)
 	}
 	va = va &^ (LargePageSpan - 1)
-	t := pt.tables[pt.root]
+	t := pt.top
 	for level := arch.PTLevels; level > 2; level-- {
 		idx := va.Index(level)
-		e := t.entries[idx]
-		if !e.Flags.Has(Present) {
-			sub, aerr := pt.alloc.Alloc()
-			if aerr != nil {
-				return writes, aerr
+		if !t.entries[idx].flags().Has(Present) {
+			if err := pt.grow(level, va, t, idx); err != nil {
+				return writes, err
 			}
-			pt.tables[sub] = newTable()
-			pt.stats.Tables++
-			e = Entry{PFN: sub, Flags: Present | Writable | User}
-			pt.write(level, va, false, t, idx, e)
 			writes++
 		}
-		t = pt.tables[e.PFN]
+		t = t.child[idx]
 	}
 	idx := va.Index(2)
-	if old := t.entries[idx]; old.Flags.Has(Present) && !old.Flags.Has(Large) {
+	if old := t.entries[idx].flags(); old.Has(Present) && !old.Has(Large) {
 		return writes, fmt.Errorf("pagetable: 4K table already present at %#x; split required", va)
 	}
 	pt.write(2, va, true, t, idx, Entry{PFN: pfn, Flags: flags | Present | Large})
@@ -252,18 +296,30 @@ func (pt *PageTable) MapLarge(va arch.VA, pfn arch.PFN, flags Flags) (writes int
 	return writes, nil
 }
 
+// grow allocates the missing next-level table under upper-level slot idx
+// of t and links it with one observable store.
+func (pt *PageTable) grow(level int, va arch.VA, t *table, idx int) error {
+	pfn, err := pt.alloc.Alloc()
+	if err != nil {
+		return err
+	}
+	pt.stats.Tables++
+	pt.link(level, va, t, idx, newTable(level-1), pfn)
+	return nil
+}
+
 // LookupLarge peeks at the level-2 entry covering va, reporting whether a
 // huge mapping is installed there.
 func (pt *PageTable) LookupLarge(va arch.VA) (Entry, bool) {
-	t := pt.tables[pt.root]
+	t := pt.top
 	for level := arch.PTLevels; level > 2; level-- {
-		e := t.entries[va.Index(level)]
-		if !e.Flags.Has(Present) {
+		idx := va.Index(level)
+		if !t.entries[idx].flags().Has(Present) {
 			return Entry{}, false
 		}
-		t = pt.tables[e.PFN]
+		t = t.child[idx]
 	}
-	e := t.entries[va.Index(2)]
+	e := t.entries[va.Index(2)].entry()
 	if !e.Flags.Has(Present) || !e.Flags.Has(Large) {
 		return Entry{}, false
 	}
@@ -273,16 +329,16 @@ func (pt *PageTable) LookupLarge(va arch.VA) (Entry, bool) {
 // UnmapLarge clears the level-2 huge entry covering va. It reports whether
 // one was present.
 func (pt *PageTable) UnmapLarge(va arch.VA) bool {
-	t := pt.tables[pt.root]
+	t := pt.top
 	for level := arch.PTLevels; level > 2; level-- {
-		e := t.entries[va.Index(level)]
-		if !e.Flags.Has(Present) {
+		idx := va.Index(level)
+		if !t.entries[idx].flags().Has(Present) {
 			return false
 		}
-		t = pt.tables[e.PFN]
+		t = t.child[idx]
 	}
 	idx := va.Index(2)
-	if e := t.entries[idx]; !e.Flags.Has(Present) || !e.Flags.Has(Large) {
+	if f := t.entries[idx].flags(); !f.Has(Present) || !f.Has(Large) {
 		return false
 	}
 	pt.write(2, va&^(LargePageSpan-1), true, t, idx, Entry{})
@@ -294,7 +350,7 @@ func (pt *PageTable) UnmapLarge(va arch.VA) bool {
 // real kernels do). It reports whether a mapping was present.
 func (pt *PageTable) Unmap(va arch.VA) bool {
 	t, idx, ok := pt.leaf(va)
-	if !ok || !t.entries[idx].Flags.Has(Present) {
+	if !ok || !t.entries[idx].flags().Has(Present) {
 		return false
 	}
 	pt.write(1, va, true, t, idx, Entry{})
@@ -307,10 +363,10 @@ func (pt *PageTable) Unmap(va arch.VA) bool {
 // whether the mapping existed.
 func (pt *PageTable) Protect(va arch.VA, flags Flags) bool {
 	t, idx, ok := pt.leaf(va)
-	if !ok || !t.entries[idx].Flags.Has(Present) {
+	if !ok || !t.entries[idx].flags().Has(Present) {
 		return false
 	}
-	e := t.entries[idx]
+	e := t.entries[idx].entry()
 	e.Flags = flags | Present
 	pt.write(1, va, true, t, idx, e)
 	pt.stats.Protects++
@@ -320,13 +376,12 @@ func (pt *PageTable) Protect(va arch.VA, flags Flags) bool {
 // leaf walks to the leaf table without permission checks or A/D updates.
 // Large (level-2) leaves are not 4K leaves; use LookupLarge for those.
 func (pt *PageTable) leaf(va arch.VA) (*table, int, bool) {
-	t := pt.tables[pt.root]
+	t := pt.top
 	for level := arch.PTLevels; level > 1; level-- {
-		e := t.entries[va.Index(level)]
-		if !e.Flags.Has(Present) || e.Flags.Has(Large) {
+		if t = t.child[va.Index(level)]; t == nil {
+			// Absent or Large: only a Present, non-Large entry links.
 			return nil, 0, false
 		}
-		t = pt.tables[e.PFN]
 	}
 	return t, va.Index(1), true
 }
@@ -337,7 +392,7 @@ func (pt *PageTable) Lookup(va arch.VA) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	e := t.entries[idx]
+	e := t.entries[idx].entry()
 	if !e.Flags.Has(Present) {
 		return Entry{}, false
 	}
@@ -354,12 +409,12 @@ func (pt *PageTable) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 		pt.stats.Faults++
 		return Entry{}, 0, &Fault{Kind: FaultNotPresent, Level: arch.PTLevels, VA: va, Write: write, User: user}
 	}
-	t := pt.tables[pt.root]
+	t := pt.top
 	levels := 0
 	for level := arch.PTLevels; level > 1; level-- {
 		levels++
 		idx := va.Index(level)
-		e := t.entries[idx]
+		e := t.entries[idx].entry()
 		if !e.Flags.Has(Present) {
 			pt.stats.Faults++
 			return Entry{}, levels, &Fault{Kind: FaultNotPresent, Level: level, VA: va, Write: write, User: user}
@@ -378,14 +433,14 @@ func (pt *PageTable) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 			if write {
 				e.Flags |= Dirty
 			}
-			t.entries[idx] = e
+			t.entries[idx] = packPTE(e)
 			return e, levels, nil
 		}
-		t = pt.tables[e.PFN]
+		t = t.child[idx]
 	}
 	levels++
 	idx := va.Index(1)
-	e := t.entries[idx]
+	e := t.entries[idx].entry()
 	switch {
 	case !e.Flags.Has(Present):
 		pt.stats.Faults++
@@ -402,20 +457,20 @@ func (pt *PageTable) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 	if write {
 		e.Flags |= Dirty
 	}
-	t.entries[idx] = e
+	t.entries[idx] = packPTE(e)
 	return e, levels, nil
 }
 
 // Range calls fn for every present leaf mapping, in ascending VA order.
 // Returning false from fn stops the iteration.
 func (pt *PageTable) Range(fn func(va arch.VA, e Entry) bool) {
-	pt.rangeFrom(pt.tables[pt.root], arch.PTLevels, 0, fn)
+	pt.rangeFrom(pt.top, arch.PTLevels, 0, fn)
 }
 
 func (pt *PageTable) rangeFrom(t *table, level int, base arch.VA, fn func(arch.VA, Entry) bool) bool {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
+		e := t.entries[i].entry()
 		if !e.Flags.Has(Present) {
 			continue
 		}
@@ -426,7 +481,7 @@ func (pt *PageTable) rangeFrom(t *table, level int, base arch.VA, fn func(arch.V
 			}
 			continue
 		}
-		if !pt.rangeFrom(pt.tables[e.PFN], level-1, va, fn) {
+		if !pt.rangeFrom(t.child[i], level-1, va, fn) {
 			return false
 		}
 	}
@@ -442,27 +497,63 @@ func (pt *PageTable) CountMapped() int {
 
 // Destroy releases every table frame back to the allocator, in ascending
 // frame order: the allocator's free list decides which frames later
-// allocations get, so it must not follow map iteration order. The PageTable
-// must not be used afterwards.
+// allocations get, so the order must be a function of the tree alone. The
+// PageTable must not be used afterwards.
 func (pt *PageTable) Destroy() error {
-	for _, pfn := range pt.TableFrames() {
-		if _, err := pt.alloc.Free(pfn); err != nil {
-			return err
-		}
-		putTable(pt.tables[pfn])
+	if _, err := freeTree(pt.alloc, pt.top, pt.root, arch.PTLevels); err != nil {
+		return err
 	}
-	pt.tables = nil
+	pt.top = nil
 	pt.stats.Tables = 0
 	return nil
+}
+
+// freeTree frees the frames of the subtree rooted at t (frame pfn, at
+// level) in ascending frame order, returns its tables to the pool, and
+// reports how many frames it freed.
+func freeTree(alloc *mem.Allocator, t *table, pfn arch.PFN, level int) (int, error) {
+	refs := appendTables(nil, t, pfn, level)
+	slices.SortFunc(refs, func(a, b tableRef) int { return cmp.Compare(a.pfn, b.pfn) })
+	for n, r := range refs {
+		if _, err := alloc.Free(r.pfn); err != nil {
+			return n, err
+		}
+	}
+	for _, r := range refs {
+		putTable(r.t)
+	}
+	return len(refs), nil
+}
+
+// tableRef is one table of a tree and the frame it occupies.
+type tableRef struct {
+	pfn arch.PFN
+	t   *table
+}
+
+// appendTables appends t (frame pfn, at level) and every table below it to
+// out, in depth-first pre-order.
+func appendTables(out []tableRef, t *table, pfn arch.PFN, level int) []tableRef {
+	out = append(out, tableRef{pfn, t})
+	if level == 1 {
+		return out
+	}
+	for i, c := range t.child {
+		if c != nil {
+			out = appendTables(out, c, t.entries[i].entry().PFN, level-1)
+		}
+	}
+	return out
 }
 
 // TableFrames returns the PFNs of all live table frames (root included) in
 // ascending order; shadowing layers write-protect exactly these frames in
 // the shadow structure to trap guest page-table stores.
 func (pt *PageTable) TableFrames() []arch.PFN {
-	out := make([]arch.PFN, 0, len(pt.tables))
-	for pfn := range pt.tables {
-		out = append(out, pfn)
+	refs := appendTables(make([]tableRef, 0, pt.stats.Tables), pt.top, pt.root, arch.PTLevels)
+	out := make([]arch.PFN, len(refs))
+	for i, r := range refs {
+		out[i] = r.pfn
 	}
 	slices.Sort(out)
 	return out

@@ -67,11 +67,11 @@ func (pt *PageTable) UnmapRange(base arch.VA, pages int, policy LargePolicy, fn 
 	defer rangePool.Put(bufs)
 	lo := base.PageDown()
 	hi := lo + arch.VA(pages)*arch.PageSize
-	return pt.mutateFrom(pt.tables[pt.root], arch.PTLevels, 0, lo, hi, policy,
+	return pt.mutateFrom(pt.top, arch.PTLevels, 0, lo, hi, policy,
 		func(t *table, tblBase arch.VA, first, last int) error {
 			vas, pfns, idxs := bufs.vas[:0], bufs.pfns[:0], bufs.idxs[:0]
 			for i := first; i <= last; i++ {
-				e := t.entries[i]
+				e := t.entries[i].entry()
 				if !e.Flags.Has(Present) {
 					continue
 				}
@@ -104,11 +104,11 @@ func (pt *PageTable) ProtectRange(base arch.VA, pages int, policy LargePolicy, f
 	defer rangePool.Put(bufs)
 	lo := base.PageDown()
 	hi := lo + arch.VA(pages)*arch.PageSize
-	return pt.mutateFrom(pt.tables[pt.root], arch.PTLevels, 0, lo, hi, policy,
+	return pt.mutateFrom(pt.top, arch.PTLevels, 0, lo, hi, policy,
 		func(t *table, tblBase arch.VA, first, last int) error {
 			vas, ents, idxs := bufs.vas[:0], bufs.ents[:0], bufs.idxs[:0]
 			for i := first; i <= last; i++ {
-				e := t.entries[i]
+				e := t.entries[i].entry()
 				if !e.Flags.Has(Present) {
 					continue
 				}
@@ -120,7 +120,7 @@ func (pt *PageTable) ProtectRange(base arch.VA, pages int, policy LargePolicy, f
 				return nil
 			}
 			protect := func(i int, flags Flags) {
-				e := t.entries[idxs[i]]
+				e := t.entries[idxs[i]].entry()
 				e.Flags = flags | Present
 				pt.write(1, vas[i], true, t, idxs[i], e)
 				pt.stats.Protects++
@@ -146,12 +146,12 @@ func (pt *PageTable) mutateFrom(t *table, level int, tblBase, lo, hi arch.VA, po
 		return visit(t, tblBase, first, last)
 	}
 	for i := first; i <= last; i++ {
-		e := t.entries[i]
-		if !e.Flags.Has(Present) {
+		f := t.entries[i].flags()
+		if !f.Has(Present) {
 			continue
 		}
 		base := tblBase + arch.VA(i)*span
-		if level == 2 && e.Flags.Has(Large) {
+		if level == 2 && f.Has(Large) {
 			if policy == SkipLarge {
 				continue
 			}
@@ -164,7 +164,7 @@ func (pt *PageTable) mutateFrom(t *table, level int, tblBase, lo, hi arch.VA, po
 			}
 			continue
 		}
-		if err := pt.mutateFrom(pt.tables[e.PFN], level-1, base, lo, hi, policy, visit); err != nil {
+		if err := pt.mutateFrom(t.child[i], level-1, base, lo, hi, policy, visit); err != nil {
 			return err
 		}
 	}
@@ -178,19 +178,18 @@ func (pt *PageTable) mutateFrom(t *table, level int, tblBase, lo, hi arch.VA, po
 // level-2 entry publishing the table (fires OnWrite, counts one PTEWrite),
 // matching how a real PMD split orders its stores.
 func (pt *PageTable) splitLarge(t *table, idx int, base arch.VA) (*table, error) {
-	e := t.entries[idx]
+	e := t.entries[idx].entry()
 	sub, err := pt.alloc.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	child := newTable()
-	pt.tables[sub] = child
+	child := newTable(1)
 	pt.stats.Tables++
 	lf := e.Flags &^ Large
 	for j := 0; j < arch.EntriesPerTable; j++ {
-		child.entries[j] = Entry{PFN: e.PFN + arch.PFN(j), Flags: lf}
+		child.entries[j] = packPTE(Entry{PFN: e.PFN + arch.PFN(j), Flags: lf})
 	}
-	pt.write(2, base, false, t, idx, Entry{PFN: sub, Flags: Present | Writable | User})
+	pt.link(2, base, t, idx, child, sub)
 	return child, nil
 }
 
@@ -206,7 +205,7 @@ func (pt *PageTable) WriteProtectLeavesBulk(match func(va arch.VA, e Entry) bool
 	if pt.OnWrite != nil {
 		return pt.WriteProtectLeaves(match)
 	}
-	n := pt.bulkProtectFrom(pt.tables[pt.root], arch.PTLevels, 0, match)
+	n := pt.bulkProtectFrom(pt.top, arch.PTLevels, 0, match)
 	pt.stats.Protects += int64(n)
 	pt.stats.PTEWrites += int64(n)
 	return n
@@ -216,7 +215,7 @@ func (pt *PageTable) bulkProtectFrom(t *table, level int, base arch.VA, match fu
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	n := 0
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
+		e := t.entries[i].entry()
 		if !e.Flags.Has(Present) {
 			continue
 		}
@@ -225,11 +224,11 @@ func (pt *PageTable) bulkProtectFrom(t *table, level int, base arch.VA, match fu
 			if !e.Flags.Has(Writable) || !match(va, e) {
 				continue
 			}
-			t.entries[i].Flags = e.Flags &^ Writable
+			t.entries[i] &^= pte(Writable)
 			n++
 			continue
 		}
-		n += pt.bulkProtectFrom(pt.tables[e.PFN], level-1, va, match)
+		n += pt.bulkProtectFrom(t.child[i], level-1, va, match)
 	}
 	return n
 }

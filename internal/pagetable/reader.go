@@ -8,7 +8,7 @@ import (
 // caching the leaf table of the most recently resolved 2 MiB span. The
 // ranged access paths in the backends resolve thousands of consecutive
 // pages per call; without the cache every page repeats the same three
-// upper-level map probes.
+// upper-level descents.
 //
 // A Reader is observationally identical to calling the PageTable methods
 // directly: Walk through a Reader performs the same permission checks,
@@ -59,7 +59,7 @@ func (r *Reader) Lookup(va arch.VA) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	e := t.entries[va.Index(1)]
+	e := t.entries[va.Index(1)].entry()
 	if !e.Flags.Has(Present) {
 		return Entry{}, false
 	}
@@ -86,7 +86,7 @@ func (r *Reader) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 	// checks of PageTable.Walk remain.
 	pt.stats.Walks++
 	idx := va.Index(1)
-	e := r.t.entries[idx]
+	e := r.t.entries[idx].entry()
 	switch {
 	case !e.Flags.Has(Present):
 		pt.stats.Faults++
@@ -103,6 +103,6 @@ func (r *Reader) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 	if write {
 		e.Flags |= Dirty
 	}
-	r.t.entries[idx] = e
+	r.t.entries[idx] = packPTE(e)
 	return e, arch.PTLevels, nil
 }

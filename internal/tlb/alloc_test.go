@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 )
@@ -41,5 +42,13 @@ func TestLookupZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Insert (evicting) allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestNodeSize pins the entry arena's node at 32 bytes: the packed tag, the
+// entry and the two LRU links, with no cache state beside them.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n != 32 {
+		t.Fatalf("sizeof(node) = %d, want 32", n)
 	}
 }

@@ -45,60 +45,6 @@ func TestPackPanicsOutOfRange(t *testing.T) {
 	pack(1, arch.PCID(1<<pcidBits), 0)
 }
 
-// TestMicroTLBGeneration verifies the invalidation contract: the generation
-// counter advances on every insert, zap, and flush, so a stale micro entry
-// can never satisfy find.
-func TestMicroTLBGeneration(t *testing.T) {
-	tb := New(4)
-	g0 := tb.Generation()
-	tb.Insert(1, 1, 0x1000, Entry{PFN: 1, Write: true})
-	if tb.Generation() == g0 {
-		t.Fatal("Insert did not advance the generation")
-	}
-
-	// A hit primes the micro-TLB without advancing the generation.
-	g1 := tb.Generation()
-	if _, ok := tb.Lookup(1, 1, 0x1000, false); !ok {
-		t.Fatal("expected hit")
-	}
-	if tb.Generation() != g1 {
-		t.Fatal("Lookup advanced the generation")
-	}
-	if tb.microGen != tb.gen || tb.microKey != pack(1, 1, arch.VA(0x1000).PageNumber()) {
-		t.Fatal("hit did not prime the micro-TLB")
-	}
-
-	// Zapping the page must advance the generation so the primed micro
-	// entry is dead, and the next lookup must miss.
-	tb.FlushPage(1, 1, 0x1000)
-	if tb.Generation() == g1 {
-		t.Fatal("FlushPage did not advance the generation")
-	}
-	if _, ok := tb.Lookup(1, 1, 0x1000, false); ok {
-		t.Fatal("lookup hit through a stale micro entry after zap")
-	}
-
-	// Every flush flavour that removes entries advances the generation.
-	tb.Insert(1, 1, 0x2000, Entry{PFN: 2})
-	g := tb.Generation()
-	tb.FlushPCID(1, 1)
-	if tb.Generation() == g {
-		t.Fatal("FlushPCID did not advance the generation")
-	}
-	tb.Insert(1, 2, 0x3000, Entry{PFN: 3})
-	g = tb.Generation()
-	tb.FlushVPID(1)
-	if tb.Generation() == g {
-		t.Fatal("FlushVPID did not advance the generation")
-	}
-	tb.Insert(2, 2, 0x4000, Entry{PFN: 4})
-	g = tb.Generation()
-	tb.FlushAll()
-	if tb.Generation() == g {
-		t.Fatal("FlushAll did not advance the generation")
-	}
-}
-
 // TestLookupRangeMatchesPerPage drives two identical TLBs through a long
 // randomized schedule of inserts, flushes, and probes — one using
 // LookupRange, the other an explicit per-page Lookup loop — and requires

@@ -8,19 +8,17 @@
 // flush (the cold-start penalty described in §3.3.2 of the paper).
 //
 // The LRU chain is an intrusive doubly-linked list threaded through a slice
-// of nodes preallocated at construction, so the steady-state hot path —
-// Lookup and Insert on a warm TLB — performs no heap allocation at all.
+// of nodes allocated once, so the steady-state hot path — Lookup and Insert
+// on a warm TLB — performs no heap allocation at all.
 //
-// Tags are packed into a single uint64 (VPN | PCID | VPID) so the entry map
-// hashes an integer key instead of a struct, and a one-entry "micro-TLB"
-// (last resolved tag + its node index, stamped with a structural generation
-// counter) sits in front of the map. The generation is bumped by every
-// insert and every entry removal (page zaps and all flush variants), so a
-// stale micro entry can never be observed — correctness does not depend on
-// callers invalidating anything. LookupRange resolves a run of consecutive
-// pages with per-page semantics identical to repeated Lookup calls
-// (same hit/miss accounting, same LRU reordering) but without re-deriving
-// the tag from scratch on every page.
+// Tags are packed into a single uint64 (VPN | PCID | VPID) and resolved
+// through an open-addressed index the TLB owns: a power-of-two slice of node
+// indexes, probed linearly from a multiplicative hash of the packed tag and
+// compacted by backward-shift deletion, so it never holds tombstones. A probe
+// is a multiply, a shift and a few slice reads. LookupRange resolves a run of
+// consecutive pages with per-page semantics identical to repeated Lookup
+// calls (same hit/miss accounting, same LRU reordering) but packs the tag
+// only once.
 package tlb
 
 import (
@@ -85,7 +83,7 @@ type Stats struct {
 	FlushedEnts int64 // entries removed by flushes
 }
 
-// none marks the end of an intrusive list chain.
+// none marks the end of an intrusive list chain and an empty index slot.
 const none = int32(-1)
 
 // node is one slot of the preallocated entry store.
@@ -93,45 +91,44 @@ type node struct {
 	key        uint64 // packed tag
 	ent        Entry
 	prev, next int32
-
-	// Run link: the slot holding key+1, valid while runGen matches the
-	// TLB's structural generation. Within one generation the key↔slot
-	// assignment is frozen (Insert, eviction, and release all bump gen),
-	// so a matching runGen guarantees the linked slot still caches the
-	// consecutive page — LookupRange follows these links instead of
-	// hashing the map for every page of a hit run.
-	run    int32
-	runGen uint64
 }
+
+// hashMul is the 64-bit Fibonacci hashing multiplier (2^64/φ): the top bits
+// of key·hashMul spread consecutive packed tags, which differ only in their
+// low VPN bits, evenly over the index.
+const hashMul = 0x9e3779b97f4a7c15
+
+// unallocated is the index of a TLB that has not inserted yet: one empty
+// slot, shared read-only, so probes of a fresh TLB miss without a branch.
+var unallocated = []int32{none}
 
 // TLB is a capacity-bounded, LRU-evicting, tagged TLB.
 type TLB struct {
 	capacity int
-	entries  map[uint64]int32
 	nodes    []node // all capacity slots, allocated once
 	head     int32  // most recently used, or none
 	tail     int32  // least recently used, or none
 	free     int32  // chain of unused slots through next
+	live     int    // entries currently cached
 
-	// Micro-TLB: the last tag resolved by a lookup or insert, and the
-	// node it lives in. Valid only while microGen == gen; gen advances
-	// on every structural change (insert, eviction, zap, flush), so the
-	// cached index can never point at a reassigned slot.
-	microKey  uint64
-	microNode int32
-	microGen  uint64
-	gen       uint64
+	// index maps packed tags to node indexes by linear probing: a tag's
+	// home slot is the top bits of key·hashMul, and it sits at the first
+	// slot from home onward (wrapping) that is not taken by another tag.
+	// It has a power-of-two length of at least 2×capacity, so probe
+	// clusters stay short, and every empty slot holds none.
+	index []int32
+	shift uint // 64 - log2(len(index))
 
 	stats Stats
 }
 
 // New creates a TLB holding up to capacity entries (capacity <= 0 panics).
-// The node arena and map are allocated at full geometry by the first Insert,
-// not here: a process that never touches a page (a short-lived fork child,
-// say) pays nothing for its TLB, which keeps per-process construction off
-// the lifecycle hot paths, while a faulting process pays the one-time
-// allocation it always paid — just at first use. Slot indexes are handed
-// out in the same 0,1,2,… order either way, so the deferral is unobservable.
+// The node arena and index are allocated at full geometry by the first
+// Insert, not here: a process that never touches a page (a short-lived fork
+// child, say) pays nothing for its TLB, which keeps per-process construction
+// off the lifecycle hot paths, while a faulting process pays the one-time
+// allocation it always paid — just at first use. Slot indexes are handed out
+// in the same 0,1,2,… order either way, so the deferral is unobservable.
 func New(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("tlb: capacity must be positive")
@@ -141,8 +138,61 @@ func New(capacity int) *TLB {
 		head:     none,
 		tail:     none,
 		free:     none,
-		gen:      1, // microGen zero can never match
+		index:    unallocated,
+		shift:    64,
 	}
+}
+
+// allocate builds the full geometry: the node arena and an index of the
+// smallest power of two at least twice the capacity.
+func (t *TLB) allocate() {
+	bits := uint(1)
+	for 1<<bits < 2*t.capacity {
+		bits++
+	}
+	t.nodes = make([]node, 0, t.capacity)
+	t.index = make([]int32, 1<<bits)
+	for s := range t.index {
+		t.index[s] = none
+	}
+	t.shift = 64 - bits
+}
+
+// home returns the index slot a probe for packed tag k starts at.
+func (t *TLB) home(k uint64) int {
+	return int(k * hashMul >> t.shift)
+}
+
+// probe returns the index slot holding k and its node, or, when k is not
+// cached, the empty slot that ends its probe sequence and none.
+func (t *TLB) probe(k uint64) (int, int32) {
+	mask := len(t.index) - 1
+	for s := t.home(k); ; s = (s + 1) & mask {
+		i := t.index[s]
+		if i == none || t.nodes[i].key == k {
+			return s, i
+		}
+	}
+}
+
+// unindex empties index slot s by backward-shift deletion: each later tag
+// of the probe cluster that may legally sit at the hole (its home is not
+// cyclically after the hole) moves into it, and the hole moves to the slot
+// it left, until the cluster ends. Every remaining tag stays reachable from
+// its home without tombstones.
+func (t *TLB) unindex(s int) {
+	mask := len(t.index) - 1
+	for j := (s + 1) & mask; ; j = (j + 1) & mask {
+		i := t.index[j]
+		if i == none {
+			break
+		}
+		if (j-t.home(t.nodes[i].key))&mask >= (j-s)&mask {
+			t.index[s] = i
+			s = j
+		}
+	}
+	t.index[s] = none
 }
 
 // detach unlinks slot i from the LRU chain.
@@ -174,95 +224,46 @@ func (t *TLB) pushFront(i int32) {
 	}
 }
 
-// find resolves a packed tag to its node index, consulting the micro-TLB
-// before the map.
-func (t *TLB) find(k uint64) (int32, bool) {
-	if t.microGen == t.gen && t.microKey == k {
-		return t.microNode, true
-	}
-	i, ok := t.entries[k]
-	return i, ok
-}
-
-// remember caches (k -> node i) in the micro-TLB.
-func (t *TLB) remember(k uint64, i int32) {
-	t.microKey, t.microNode, t.microGen = k, i, t.gen
-}
-
-// lookup is Lookup on an already-packed tag.
-func (t *TLB) lookup(k uint64, write bool) (Entry, bool) {
-	i, ok := t.find(k)
-	if !ok {
-		t.stats.Misses++
-		return Entry{}, false
-	}
-	ent := t.nodes[i].ent
-	if write && !ent.Write {
-		t.stats.Misses++
-		return Entry{}, false
-	}
+// touch moves slot i to the most-recently-used end.
+func (t *TLB) touch(i int32) {
 	if t.head != i {
 		t.detach(i)
 		t.pushFront(i)
 	}
-	t.remember(k, i)
-	t.stats.Hits++
-	return ent, true
 }
 
 // Lookup searches for a cached translation. A write access misses on a
 // read-only cached entry (forcing a walk that sets the dirty bit), matching
 // hardware behaviour. Zero-allocation.
 func (t *TLB) Lookup(vpid arch.VPID, pcid arch.PCID, va arch.VA, write bool) (Entry, bool) {
-	return t.lookup(pack(vpid, pcid, va.PageNumber()), write)
+	_, i := t.probe(pack(vpid, pcid, va.PageNumber()))
+	if i == none || write && !t.nodes[i].ent.Write {
+		t.stats.Misses++
+		return Entry{}, false
+	}
+	t.touch(i)
+	t.stats.Hits++
+	return t.nodes[i].ent, true
 }
 
 // LookupRange probes translations for up to pages consecutive pages
 // starting at va and returns the length of the leading run of hits. Each
 // probed page has exactly the observable effect a Lookup call would have —
 // Hits/Misses accounting, LRU move-to-front — including the terminating
-// miss (when the run is shorter than the request). The work that per-page
-// Lookup repeats is amortized: the tag is packed once (consecutive pages
-// differ by one in the packed form), hits inside a run follow the nodes'
-// run links instead of hashing the map, and the hit count is added in one
-// step. None of that is observable: the micro-TLB and run links only ever
-// short-circuit to the same node the map holds.
+// miss (when the run is shorter than the request). The tag is packed once
+// (consecutive pages differ by one in the packed form) and the hit count is
+// added in one step.
 func (t *TLB) LookupRange(vpid arch.VPID, pcid arch.PCID, va arch.VA, pages int, write bool) int {
 	k := pack(vpid, pcid, va.PageNumber())
-	prev := none
 	n := 0
 	for ; n < pages; n++ {
-		var i int32
-		var ok bool
-		if prev != none {
-			if pn := &t.nodes[prev]; pn.runGen == t.gen && pn.run != none {
-				i, ok = pn.run, true
-			}
-		}
-		if !ok {
-			if i, ok = t.find(k); !ok {
-				break
-			}
-		}
-		nd := &t.nodes[i]
-		if write && !nd.ent.Write {
+		_, i := t.probe(k + uint64(n))
+		if i == none || write && !t.nodes[i].ent.Write {
 			break
 		}
-		if t.head != i {
-			t.detach(i)
-			t.pushFront(i)
-		}
-		if prev != none {
-			t.nodes[prev].run = i
-			t.nodes[prev].runGen = t.gen
-		}
-		prev = i
-		k++
+		t.touch(i)
 	}
-	if n > 0 {
-		t.stats.Hits += int64(n)
-		t.remember(k-1, prev)
-	}
+	t.stats.Hits += int64(n)
 	if n < pages {
 		t.stats.Misses++
 	}
@@ -270,26 +271,20 @@ func (t *TLB) LookupRange(vpid arch.VPID, pcid arch.PCID, va arch.VA, pages int,
 }
 
 // Insert caches a translation, evicting the least recently used entry when
-// full. Steady-state (warm map) insertion does not allocate.
+// full. Steady-state insertion does not allocate.
 func (t *TLB) Insert(vpid arch.VPID, pcid arch.PCID, va arch.VA, e Entry) {
-	if t.entries == nil {
+	if t.nodes == nil {
 		// First insert: allocate the full geometry in one step (see New) so
-		// no later insert pays map growth or arena reallocation.
-		t.entries = make(map[uint64]int32, t.capacity)
-		t.nodes = make([]node, 0, t.capacity)
+		// no later insert pays growth or arena reallocation.
+		t.allocate()
 	}
 	k := pack(vpid, pcid, va.PageNumber())
-	t.gen++
-	if i, ok := t.entries[k]; ok {
+	s, i := t.probe(k)
+	if i != none {
 		t.nodes[i].ent = e
-		if t.head != i {
-			t.detach(i)
-			t.pushFront(i)
-		}
-		t.remember(k, i)
+		t.touch(i)
 		return
 	}
-	var i int32
 	switch {
 	case t.free != none:
 		i = t.free
@@ -299,71 +294,65 @@ func (t *TLB) Insert(vpid arch.VPID, pcid arch.PCID, va arch.VA, e Entry) {
 		t.nodes = append(t.nodes, node{})
 		i = int32(len(t.nodes) - 1)
 	default:
-		// Full: reuse the least recently used slot.
+		// Full: reuse the least recently used slot. Deleting its tag can
+		// shift k's probe cluster, so k's empty slot is found again.
 		i = t.tail
 		t.detach(i)
-		delete(t.entries, t.nodes[i].key)
+		vs, _ := t.probe(t.nodes[i].key)
+		t.unindex(vs)
+		t.live--
 		t.stats.Evictions++
+		s, _ = t.probe(k)
 	}
 	t.nodes[i].key = k
 	t.nodes[i].ent = e
 	t.pushFront(i)
-	t.entries[k] = i
-	t.remember(k, i)
+	t.index[s] = i
+	t.live++
 	t.stats.Inserts++
 }
 
-// release returns slot i (already detached from the LRU chain) to the free
-// list and drops its map entry. Bumping gen invalidates the micro-TLB.
-func (t *TLB) release(i int32) {
-	t.gen++
-	delete(t.entries, t.nodes[i].key)
+// remove drops the entry in node i, whose tag sits at index slot s: it
+// leaves the LRU chain and the index, and the node joins the free list.
+func (t *TLB) remove(s int, i int32) {
+	t.detach(i)
+	t.unindex(s)
 	t.nodes[i].next = t.free
 	t.free = i
+	t.live--
 }
 
 // FlushPage removes one page's translation (INVLPG / INVPCID single-address).
 func (t *TLB) FlushPage(vpid arch.VPID, pcid arch.PCID, va arch.VA) {
 	t.stats.FlushPage++
-	k := pack(vpid, pcid, va.PageNumber())
-	if i, ok := t.entries[k]; ok {
-		t.detach(i)
-		t.release(i)
+	if s, i := t.probe(pack(vpid, pcid, va.PageNumber())); i != none {
+		t.remove(s, i)
 		t.stats.FlushedEnts++
 	}
 }
 
 // ZapRange removes the translations of pages consecutive pages starting at
 // va — INVLPG applied to a run. Per page it removes exactly what FlushPage
-// would (same map entries dropped, same FlushPage/FlushedEnts motion), but
-// the structural generation advances once for the whole call instead of
-// once per removed entry. That is unobservable: gen only guards the
-// micro-TLB and run links, and one bump severs them as thoroughly as n
-// bumps. Returns the number of entries removed.
+// would, with the same FlushPage/FlushedEnts motion. Returns the number of
+// entries removed.
 func (t *TLB) ZapRange(vpid arch.VPID, pcid arch.PCID, va arch.VA, pages int) int {
 	if pages <= 0 {
 		return 0
 	}
 	t.stats.FlushPage += int64(pages)
-	if len(t.entries) == 0 {
+	if t.live == 0 {
 		return 0
 	}
 	k := pack(vpid, pcid, va.PageNumber())
 	n := 0
 	for p := 0; p < pages; p++ {
 		// Consecutive pages differ by one in the packed form.
-		if i, ok := t.entries[k+uint64(p)]; ok {
-			t.detach(i)
-			delete(t.entries, t.nodes[i].key)
-			t.nodes[i].next = t.free
-			t.free = i
+		if s, i := t.probe(k + uint64(p)); i != none {
+			t.remove(s, i)
 			n++
 		}
 	}
-	if n > 0 {
-		t.gen++
-		t.stats.FlushedEnts += int64(n)
-	}
+	t.stats.FlushedEnts += int64(n)
 	return n
 }
 
@@ -399,8 +388,8 @@ func (t *TLB) flushWhere(pred func(uint64, Entry) bool) int {
 	for i := t.head; i != none; {
 		next := t.nodes[i].next
 		if pred(t.nodes[i].key, t.nodes[i].ent) {
-			t.detach(i)
-			t.release(i)
+			s, _ := t.probe(t.nodes[i].key)
+			t.remove(s, i)
 			n++
 		}
 		i = next
@@ -410,12 +399,11 @@ func (t *TLB) flushWhere(pred func(uint64, Entry) bool) int {
 }
 
 // Len returns the number of live entries.
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int { return t.live }
 
 // Range calls fn for every live entry in LRU order (most recently used
-// first) until fn returns false. It is a pure read: no stats movement, no
-// LRU reordering, no micro-TLB update — auditors iterate a TLB without
-// perturbing it.
+// first) until fn returns false. It is a pure read: no stats movement and no
+// LRU reordering — auditors iterate a TLB without perturbing it.
 func (t *TLB) Range(fn func(Key, Entry) bool) {
 	for i := t.head; i != none; i = t.nodes[i].next {
 		if !fn(unpack(t.nodes[i].key), t.nodes[i].ent) {
@@ -423,18 +411,6 @@ func (t *TLB) Range(fn func(Key, Entry) bool) {
 		}
 	}
 }
-
-// DropCaches force-invalidates the acceleration state guarding the packed
-// fast paths — the one-entry micro-TLB and every node's run link — by
-// bumping the structural generation, exactly as any insert or flush would.
-// The cached translations themselves are untouched, so DropCaches has no
-// observable effect; the metamorphic harness injects it to prove lookups
-// never depend on the caches being warm.
-func (t *TLB) DropCaches() { t.gen++ }
-
-// Generation returns the structural generation counter guarding the
-// micro-TLB. It advances on every insert, eviction, zap, and flush.
-func (t *TLB) Generation() uint64 { return t.gen }
 
 // Stats returns a snapshot of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
