@@ -34,21 +34,19 @@ check-bench-refs:
 	done; \
 	exit $$missing
 
-# fuzz sweeps the full metamorphic corpus (13 variants per seed, including
-# the horizon-parallel engine at worker budgets 2 and 4, the lifecycle and
-# ranged VMA-mutation fast lanes disabled, and dirty-page logging armed)
-# plus the backend and bound-sandbox differential grids without the race
-# detector's slowdown.
+# fuzz sweeps the full metamorphic corpus (11 variants per seed, including
+# the lifecycle and ranged VMA-mutation fast lanes disabled and dirty-page
+# logging armed) plus the backend and bound-sandbox differential grids
+# without the race detector's slowdown.
 fuzz:
-	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestParallelEngineDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential|TestBoundFleetDifferential' ./internal/check/
+	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential|TestBoundFleetDifferential' ./internal/check/
 	$(GO) test -count=1 -run 'TestRangedAccessEquivalence|TestForkTeardownEquivalence|TestDirtyLog|TestVMAMutation' ./internal/backend/
 
 # bench writes a fresh report (benchreport's default file name; it is not
 # committed): the TouchRange, ColdFault, ProcessLifecycle, VMAMutation,
 # MultiVCPUContention, and DirtyScan grids plus the PreCopy experiment
-# benchmark across all five MMU backends, and the serial and
-# engine-parallel default-grid wall clocks (compared against the newest
-# committed artifact's baseline).
+# benchmark across all five MMU backends, and the serial default-grid wall
+# clock (compared against the newest committed artifact's baseline).
 bench:
 	$(GO) run ./cmd/benchreport -out BENCH_pr10.json
 

@@ -273,29 +273,23 @@ func BenchmarkColdFaultRange(b *testing.B) {
 
 // Multi-vCPU contention benchmarks: ns/op is the simulator's cost per page
 // when b.N total pages of fault/map/unmap work are divided across 1/2/4/8
-// concurrently running processes. Each (backend, vcpus) cell runs twice —
-// under the serial conservative engine and under the horizon-parallel
-// executor (EngineWorkers=4) — and the two schedules are bit-identical
-// (TestParallelEngineDifferential), so the pair isolates the host-side win
-// of dispatching independent sub-horizon segments across workers.
-// BENCH_pr7.json pairs them.
+// concurrently running processes on the serial conservative engine: the
+// host cost of the min-clock gate and the guest kernel's lock handoffs.
 
-// contentionVCPUs are the per-cell process counts; 1 pins the solo-bypass
-// precedence (the parallel arm must not slow the single-vCPU case down).
+// contentionVCPUs are the per-cell process counts; 1 runs on the solo
+// bypass.
 var contentionVCPUs = []int{1, 2, 4, 8}
 
-func benchMultiVCPU(b *testing.B, cfg Config, direct bool, vcpus, workers int) {
+func benchMultiVCPU(b *testing.B, cfg Config, direct bool, vcpus int) {
 	opt := DefaultOptions()
 	opt.DirectPaging = direct
-	opt.EngineWorkers = workers
 	sys := NewSystem(cfg, opt)
 	g, err := sys.NewGuest("bench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Each process faults through private windows, so most virtual charges
-	// are exact page-fault latencies the parallel executor can pool; the
-	// map/unmap churn keeps the guest kernel's lock on the path.
+	// Each process faults through private windows; the map/unmap churn
+	// keeps the guest kernel's lock on the path.
 	const window = 256
 	per := (b.N + vcpus - 1) / vcpus
 	b.ReportAllocs()
@@ -328,10 +322,7 @@ func BenchmarkMultiVCPUContention(b *testing.B) {
 	for _, c := range touchRangeConfigs {
 		for _, v := range contentionVCPUs {
 			b.Run(fmt.Sprintf("%s/vcpus=%d/serial", c.name, v), func(b *testing.B) {
-				benchMultiVCPU(b, c.cfg, c.direct, v, 0)
-			})
-			b.Run(fmt.Sprintf("%s/vcpus=%d/parallel", c.name, v), func(b *testing.B) {
-				benchMultiVCPU(b, c.cfg, c.direct, v, 4)
+				benchMultiVCPU(b, c.cfg, c.direct, v)
 			})
 		}
 	}

@@ -3,9 +3,8 @@
 // ProcessLifecycle, VMAMutation, and MultiVCPUContention benchmark grids —
 // each fast path against its reference implementation for every MMU backend —
 // pairs the ns/op numbers into speedups, times the default-scale experiment
-// grid serially and under the horizon-parallel engine, and emits one JSON
-// document stamped with the host's parallelism (GOMAXPROCS) and the engine
-// worker budget.
+// grid serially, and emits one JSON document stamped with the host's
+// parallelism (GOMAXPROCS).
 //
 // With -diff it instead compares two previously generated artifacts and
 // reports per-cell speedups, flagging regressions beyond -threshold. A diff
@@ -42,10 +41,9 @@ var benchLine = regexp.MustCompile(`^Benchmark(TouchRange(?:Resident|Faulting))(
 // (bulk-population) path, bare ColdFault the per-page reference.
 var coldLine = regexp.MustCompile(`^BenchmarkColdFault(Range)?/(\w+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// contLine matches one MultiVCPUContention cell: the same (backend, vCPU
-// count) workload under the serial conservative engine and under the
-// horizon-parallel executor.
-var contLine = regexp.MustCompile(`^BenchmarkMultiVCPUContention/(\w+)/(vcpus=\d+)/(serial|parallel)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// contLine matches one MultiVCPUContention cell: a (backend, vCPU count)
+// workload on the serial conservative engine.
+var contLine = regexp.MustCompile(`^BenchmarkMultiVCPUContention/(\w+)/(vcpus=\d+)/serial(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // lcLine matches one ProcessLifecycle cell: the structural fast lane (fork
 // page-table cloning, bulk subtree teardown) against the per-leaf reference
@@ -73,18 +71,11 @@ type pair struct {
 	Speedup   float64 `json:"speedup"`
 }
 
-// contentionWorkers is the horizon-parallel worker budget the parallel arms
-// of the contention grid and the engine-parallel grid timing run with; it
-// matches the budget in BenchmarkMultiVCPUContention and the CI equivalence
-// job.
-const contentionWorkers = 4
-
-// contCell is one backend's serial-vs-parallel engine measurement at a fixed
-// vCPU count; the two runs compute bit-identical schedules.
+// contCell is one backend's contention measurement at a fixed vCPU count.
+// Older artifacts also carry parallel_ns_per_page and speedup, which loading
+// ignores.
 type contCell struct {
-	SerialNs   float64 `json:"serial_ns_per_page"`
-	ParallelNs float64 `json:"parallel_ns_per_page"`
-	Speedup    float64 `json:"speedup"`
+	SerialNs float64 `json:"serial_ns_per_page"`
 }
 
 // lcPair is one process-lifecycle cell: the structural fast lane against the
@@ -134,21 +125,18 @@ type report struct {
 	PrecopyBenchtime string `json:"precopy_benchtime,omitempty"`
 	// GOMAXPROCS is the host parallelism the numbers were measured under;
 	// -diff refuses to compare artifacts that disagree on it.
-	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
-	// EngineWorkers is the worker budget the parallel-engine cells ran with.
-	EngineWorkers int                         `json:"engine_workers,omitempty"`
-	Notes         []string                    `json:"notes"`
-	TouchRange    map[string]map[string]*pair `json:"touch_range_ns_per_page"`
-	ColdFault     map[string]*pair            `json:"cold_fault_ns_per_page,omitempty"`
-	Lifecycle     map[string]*lcPair          `json:"process_lifecycle_ns_per_op,omitempty"`
-	VMA           map[string]*vmaPair         `json:"vma_mutation_ns_per_op,omitempty"`
-	MultiVCPU     map[string]*contCell        `json:"multi_vcpu_contention_ns_per_page,omitempty"`
+	GOMAXPROCS int                         `json:"gomaxprocs,omitempty"`
+	Notes      []string                    `json:"notes"`
+	TouchRange map[string]map[string]*pair `json:"touch_range_ns_per_page"`
+	ColdFault  map[string]*pair            `json:"cold_fault_ns_per_page,omitempty"`
+	Lifecycle  map[string]*lcPair          `json:"process_lifecycle_ns_per_op,omitempty"`
+	VMA        map[string]*vmaPair         `json:"vma_mutation_ns_per_op,omitempty"`
+	MultiVCPU  map[string]*contCell        `json:"multi_vcpu_contention_ns_per_page,omitempty"`
 	// DirtyScan is per-backend ns per page written and harvested through an
 	// armed dirty log; PrecopyNs is ns per full pre-copy experiment run.
-	DirtyScan    map[string]float64 `json:"dirty_scan_ns_per_page,omitempty"`
-	PrecopyNs    float64            `json:"precopy_ns_per_run,omitempty"`
-	Grid         *gridTiming        `json:"default_grid,omitempty"`
-	GridParallel *gridTiming        `json:"default_grid_engine_parallel,omitempty"`
+	DirtyScan map[string]float64 `json:"dirty_scan_ns_per_page,omitempty"`
+	PrecopyNs float64            `json:"precopy_ns_per_run,omitempty"`
+	Grid      *gridTiming        `json:"default_grid,omitempty"`
 }
 
 func main() {
@@ -186,16 +174,14 @@ func main() {
 		VMABenchtime:        *vmaBenchtime,
 		PrecopyBenchtime:    *pcBenchtime,
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
-		EngineWorkers:       contentionWorkers,
 		Notes: []string{
 			"ranged = Process.TouchRange via Guest.AccessRange (run-length TLB resolution through the open-addressed TLB index, one lazy advance per hit run)",
 			"per_page = Process.TouchRangeByPage, the per-page reference path the equivalence tests pin the fast path against",
 			"resident sweeps a 1024-page working set inside the 1536-entry TLB (steady-state all hits); faulting maps+touches+unmaps so every page replays the full miss choreography",
 			"cold_fault spawns a fresh solo process per 512-page chunk so every touch is a demand-zero fault against empty tables: the solo-vCPU engine bypass + bulk leaf population workload",
-			"multi_vcpu_contention runs the same N-process fault/map/unmap workload under the serial engine and under the horizon-parallel executor (EngineWorkers=4); the two schedules are bit-identical, so the pair isolates the host-side dispatch win",
+			"multi_vcpu_contention runs an N-process fault/map/unmap workload on the serial engine: the host cost of the min-clock gate and the guest kernel's lock handoffs",
 			"process_lifecycle pairs the structural lifecycle fast lane (fork by level-order page-table cloning with batched COW refcounting, exec/exit by bulk subtree teardown) against the per-leaf reference lane; fork = Fork+child Exit on a resident image, forkexit adds a COW touch pass in the child, exec replaces the image in place — both lanes produce bit-identical simulations",
 			"vma_mutation pairs the ranged VMA-mutation fast lane (structural mprotect/munmap leaf-table walks, cursor shadow/EPT zaps, coalesced TLB zaps, batched refcount drops, one-pass dirty-log arming) against the per-page reference lane; mprotect = flip the whole resident area read-only and back, munmap = drop the whole resident area (the remap between iterations is untimed), dirtyarm = redirty the area and harvest it through CollectDirty — both lanes produce bit-identical simulations, so ns/op at a fixed area size is directly a ns/page comparison",
-			"the parallel executor's wall-clock win requires GOMAXPROCS > 1: on a single-hardware-thread host its cells demonstrate parity (no regression), not speedup — -diff refuses to compare artifacts across host parallelism for this reason",
 			"dirty_scan redirties a 1024-page resident set and harvests it with CollectDirty each sweep, per backend: the write-protect lane (spt/pvm/pvm-direct) re-faults every page through its shadow choreography, the PML lane (ept variants) re-walks and ring-appends — ns/op is per page written+harvested",
 			"precopy regenerates the full pre-copy migration experiment (6 backend variants x 2 mutators at quick scale) per op",
 			"minimum ns/op of -count runs per cell after a discarded warmup pass",
@@ -218,13 +204,7 @@ func main() {
 	}
 
 	if !*skipGrid {
-		rep.Grid = timeGrid(*baseline, 0)
-		rep.GridParallel = timeGrid("", contentionWorkers)
-		if rep.Grid.WallS > 0 && rep.GridParallel.WallS > 0 {
-			rep.GridParallel.BaselineWallS = rep.Grid.WallS
-			rep.GridParallel.SpeedupVsPrior = round2(rep.Grid.WallS / rep.GridParallel.WallS)
-			rep.GridParallel.BaselineComment = "this artifact's serial default_grid.wall_clock_s"
-		}
+		rep.Grid = timeGrid(*baseline)
 	}
 
 	f, err := os.Create(*out)
@@ -321,8 +301,6 @@ func parseBenchLines(rep *report, raw []byte) error {
 	type cell struct{ kind, config string }
 	ranged := map[cell]float64{}
 	perPage := map[cell]float64{}
-	serialVCPU := map[string]float64{}
-	parallelVCPU := map[string]float64{}
 	lcFast := map[string]float64{}
 	lcPerLeaf := map[string]float64{}
 	vmaFast := map[string]float64{}
@@ -372,14 +350,10 @@ func parseBenchLines(rep *report, raw []byte) error {
 		}
 		if m := contLine.FindStringSubmatch(line); m != nil {
 			var ns float64
-			fmt.Sscanf(m[4], "%g", &ns)
-			dst := serialVCPU
-			if m[3] == "parallel" {
-				dst = parallelVCPU
-			}
+			fmt.Sscanf(m[3], "%g", &ns)
 			key := m[1] + "/" + m[2]
-			if old, ok := dst[key]; !ok || ns < old {
-				dst[key] = ns
+			if old, ok := rep.MultiVCPU[key]; !ok || ns < old.SerialNs {
+				rep.MultiVCPU[key] = &contCell{SerialNs: ns}
 			}
 			continue
 		}
@@ -432,17 +406,6 @@ func parseBenchLines(rep *report, raw []byte) error {
 			rep.ColdFault[c.config] = p
 		} else {
 			rep.TouchRange[c.kind][c.config] = p
-		}
-	}
-	for key, ns := range parallelVCPU {
-		ref, ok := serialVCPU[key]
-		if !ok {
-			continue
-		}
-		rep.MultiVCPU[key] = &contCell{
-			SerialNs:   ref,
-			ParallelNs: ns,
-			Speedup:    round2(ref / ns),
 		}
 	}
 	for key, ns := range lcFast {
@@ -639,22 +602,14 @@ func diffReports(oldPath, newPath string, threshold float64, force bool) int {
 		}
 	}
 	for _, key := range sortedKeys(oldRep.MultiVCPU, newRep.MultiVCPU) {
-		o, n := oldRep.MultiVCPU[key], newRep.MultiVCPU[key]
-		name := "multi_vcpu/" + key
-		switch {
-		case o == nil:
-			fmt.Printf("%-34s %12s %12.2f %9s\n", name, "-", n.ParallelNs, "new")
-		case n == nil:
-			fmt.Printf("%-34s %12.2f %12s %9s\n", name, o.ParallelNs, "-", "gone")
-		default:
-			mark := ""
-			if threshold > 0 && n.ParallelNs > o.ParallelNs*threshold {
-				mark = "  REGRESSION"
-				regressed++
-			}
-			fmt.Printf("%-34s %12.2f %12.2f %8.2fx%s\n", name,
-				o.ParallelNs, n.ParallelNs, o.ParallelNs/n.ParallelNs, mark)
+		var o, n float64
+		if c := oldRep.MultiVCPU[key]; c != nil {
+			o = c.SerialNs
 		}
+		if c := newRep.MultiVCPU[key]; c != nil {
+			n = c.SerialNs
+		}
+		comparePlain("multi_vcpu/"+key, o, n)
 	}
 	if oldRep.Grid != nil && newRep.Grid != nil && newRep.Grid.WallS > 0 {
 		fmt.Printf("%-34s %11.2fs %11.2fs %8.2fx\n", "default grid wall clock",
@@ -696,25 +651,18 @@ func sortedKeys[V any](ms ...map[string]V) []string {
 	return keys
 }
 
-// timeGrid runs the full default-scale experiment grid in-process — serially
-// when workers is 0, under the horizon-parallel engine at that worker budget
-// otherwise — and compares its wall clock against the prior PR's artifact.
-// The output bytes are identical either way; only the wall clock moves.
-func timeGrid(baselinePath string, workers int) *gridTiming {
+// timeGrid runs the full default-scale experiment grid in-process, serially,
+// and compares its wall clock against the prior PR's artifact.
+func timeGrid(baselinePath string) *gridTiming {
 	sc := experiments.DefaultScale()
 	sc.Parallel = 1
-	sc.EngineWorkers = workers
-	cmd := "pvmbench -exp all -scale default (serial, 1 worker)"
-	if workers > 1 {
-		cmd = fmt.Sprintf("pvmbench -exp all -scale default -engine-workers %d (1 cell worker)", workers)
-	}
 	start := time.Now()
 	if err := experiments.RunAll(sc, io.Discard); err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: default grid: %v\n", err)
 		os.Exit(1)
 	}
 	g := &gridTiming{
-		Command: cmd,
+		Command: "pvmbench -exp all -scale default (serial, 1 worker)",
 		WallS:   round2(time.Since(start).Seconds()),
 	}
 	if baselinePath != "" {

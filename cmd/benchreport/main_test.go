@@ -8,8 +8,9 @@ import (
 )
 
 // synthetic `go test -bench` output exercising every grid the parser knows,
-// with -count 2 duplicates to check min-folding and a decoy line that must
-// not parse.
+// with -count 2 duplicates to check min-folding and decoy lines that must
+// not parse (a contention arm other than serial, from older runs, among
+// them).
 const syntheticBench = `goos: linux
 goarch: amd64
 pkg: repro
@@ -20,6 +21,7 @@ BenchmarkColdFaultRange/PVMNested-8   500000   80.00 ns/op
 BenchmarkColdFault/PVMNested-8        500000  240.00 ns/op
 BenchmarkProcessLifecycle/fork/PVMNested/pages=256-8   2000   5000 ns/op
 BenchmarkProcessLifecyclePerLeaf/fork/PVMNested/pages=256-8   2000   15000 ns/op
+BenchmarkMultiVCPUContention/PVMNested/vcpus=4/serial-8    500000   41.00 ns/op
 BenchmarkMultiVCPUContention/PVMNested/vcpus=4/serial-8    500000   40.00 ns/op
 BenchmarkMultiVCPUContention/PVMNested/vcpus=4/parallel-8  500000   20.00 ns/op
 BenchmarkDirtyScan/KVMEPTBareMetal-8   1000000   14.50 ns/op
@@ -62,8 +64,8 @@ func TestParseBenchLines(t *testing.T) {
 	if lc := rep.Lifecycle["fork/PVMNested/pages=256"]; lc == nil || lc.FastNs != 5000 || lc.PerLeafNs != 15000 {
 		t.Errorf("lifecycle pair = %+v", lc)
 	}
-	if mv := rep.MultiVCPU["PVMNested/vcpus=4"]; mv == nil || mv.SerialNs != 40 || mv.ParallelNs != 20 {
-		t.Errorf("contention cell = %+v", mv)
+	if mv := rep.MultiVCPU["PVMNested/vcpus=4"]; mv == nil || mv.SerialNs != 40 {
+		t.Errorf("contention cell = %+v, want min-folded serial 40", mv)
 	}
 	if got := rep.DirtyScan["KVMEPTBareMetal"]; got != 13.75 {
 		t.Errorf("dirty scan KVMEPTBareMetal = %v, want min-folded 13.75", got)
@@ -209,6 +211,26 @@ func TestDiffToleratesOneSidedSections(t *testing.T) {
 	// And the mirror image: sections vanished entirely.
 	if code := diffReports(newPath, oldPath, 1.10, false); code != 0 {
 		t.Errorf("gone dirty/precopy sections: exit %d, want 0", code)
+	}
+}
+
+// TestCommittedArtifactsCarryContentionCells: the artifacts bench-diff and
+// the CI bench gate read still load, and their contention cells keep the
+// serial arm -diff compares.
+func TestCommittedArtifactsCarryContentionCells(t *testing.T) {
+	for _, name := range []string{"BENCH_pr8.json", "BENCH_pr9.json"} {
+		rep, err := loadReport(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.MultiVCPU) == 0 {
+			t.Fatalf("%s: no contention cells loaded", name)
+		}
+		for key, c := range rep.MultiVCPU {
+			if c.SerialNs <= 0 {
+				t.Errorf("%s: %s has no serial arm", name, key)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 //	pvmbench -list
 //	pvmbench -exp fig4 [-scale default|quick|full]
-//	pvmbench -exp all [-parallel N] [-engine-workers N]
+//	pvmbench -exp all [-parallel N]
 //	pvmbench -exp all -cpuprofile cpu.pprof -memprofile mem.pprof
 //	pvmbench -precopy [-precopy-rate N] [-precopy-threshold N] [-precopy-rounds N]
 //
@@ -14,10 +14,8 @@
 // is shorthand for -exp precopy plus its tuning flags.
 //
 // Every run is deterministic for a given scale: -parallel only fans
-// independent experiment cells across host workers, -engine-workers only
-// runs each cell's vCPUs on the vclock engine's horizon-parallel executor
-// (bit-identical schedules), and neither changes the output bytes. The two
-// compose under one GOMAXPROCS budget.
+// independent experiment cells across host workers and never changes the
+// output bytes.
 package main
 
 import (
@@ -37,7 +35,6 @@ func main() {
 		scale      = flag.String("scale", "default", "workload scale: quick, default, or full")
 		list       = flag.Bool("list", false, "list available experiments")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "host worker goroutines for independent experiment cells (<=1 = serial)")
-		engWorkers = flag.Int("engine-workers", 0, "vclock horizon-parallel executor worker budget per cell (<=1 = serial engine)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken after the run to `file`")
 
@@ -80,7 +77,6 @@ func main() {
 		os.Exit(2)
 	}
 	sc.Parallel = *parallel
-	sc.EngineWorkers = *engWorkers
 	if *precopyRate > 0 {
 		sc.PrecopyRatePages = *precopyRate
 	}
@@ -116,11 +112,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pvmbench: %v\n", err)
 		os.Exit(1)
 	}
-	footer := fmt.Sprintf("\n(%s wall-clock, %d workers", time.Since(start).Round(time.Millisecond), *parallel)
-	if *engWorkers > 1 {
-		footer += fmt.Sprintf(", engine-workers %d", *engWorkers)
-	}
-	fmt.Println(footer + ")")
+	fmt.Printf("\n(%s wall-clock, %d workers)\n", time.Since(start).Round(time.Millisecond), *parallel)
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

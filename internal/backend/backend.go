@@ -134,13 +134,6 @@ type Options struct {
 	// Cores bounds simulated hardware parallelism (0 = unlimited).
 	Cores int
 
-	// EngineWorkers, when ≥ 2, enables the vclock engine's horizon-parallel
-	// executor with that worker budget: up to EngineWorkers vCPUs run their
-	// gate-free segments concurrently with schedules bit-identical to the
-	// serial engine (see vclock.Engine.SetParallel). 0 or 1 keeps the
-	// serial heap path. The solo bypass still wins when one vCPU runs.
-	EngineWorkers int
-
 	// Warm treats the L1 instance as long-running: EPT01 violations are
 	// installed silently (§4.1's standing assumption). Only meaningful
 	// for nested configurations.
@@ -204,9 +197,6 @@ func NewSystemWithParams(cfg Config, opt Options, prm cost.Params) *System {
 	eng := vclock.NewEngine()
 	if opt.Cores > 0 {
 		eng.SetCores(opt.Cores)
-	}
-	if opt.EngineWorkers > 1 {
-		eng.SetParallel(opt.EngineWorkers)
 	}
 	ctr := &metrics.Counters{}
 	host := hv.NewHost(eng, prm, ctr, opt.HPAFrames)

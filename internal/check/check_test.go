@@ -65,36 +65,6 @@ func TestSoloBypassDifferential(t *testing.T) {
 	}
 }
 
-// TestParallelEngineDifferential is the serial/parallel differential at the
-// full-stack level: for each seed, runs under the horizon-parallel executor
-// at worker budgets 2 and 4 must reproduce the serial baseline's observables
-// — clocks, makespan, metrics, trace digest — bit for bit, and at least one
-// parallel run in the sweep must actually pool charges so the executor path
-// is known to be exercised.
-func TestParallelEngineDifferential(t *testing.T) {
-	var pooled int64
-	for seed := uint64(1); seed <= 32; seed++ {
-		p := Generate(seed)
-		base, err := Run(p, Variant{Name: "baseline"})
-		if err != nil {
-			t.Fatalf("seed %d baseline: %v", seed, err)
-		}
-		for _, workers := range []int{2, 4} {
-			par, err := Run(p, Variant{Name: "parallel-engine", Workers: workers})
-			if err != nil {
-				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
-			}
-			if d := Diff(base, par); d != "" {
-				t.Fatalf("seed %d workers=%d: parallel engine changed observables: %s", seed, workers, d)
-			}
-			pooled += par.ParallelGrants
-		}
-	}
-	if pooled == 0 {
-		t.Fatal("no parallel run in seeds 1..32 pooled a charge; differential is vacuous")
-	}
-}
-
 // TestLifecycleFastLaneDifferential is the fork/teardown structural fast
 // lane's full-stack differential: for each seed, the lifecycle-off run (the
 // retained per-leaf fork copy and per-leaf teardown) must reproduce the

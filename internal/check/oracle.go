@@ -30,27 +30,24 @@ type Observation struct {
 	DirtyPages  int64
 	DirtyDigest uint64
 
-	// SoloGrants, ParallelGrants and Gates are informational and
-	// deliberately excluded from Diff: toggling or revoking the solo bypass
-	// changes how often that grant engages, the horizon-parallel executor's
-	// run-ahead pooling depends on real-time worker interleaving, and a
-	// bound guest or eager charging changes how many operations gate — all
-	// while leaving every observable above untouched.
-	SoloGrants     int64
-	ParallelGrants int64
-	Gates          int64
+	// SoloGrants and Gates are informational and deliberately excluded
+	// from Diff: toggling or revoking the solo bypass changes how often
+	// that grant engages, and a bound guest or eager charging changes how
+	// many operations gate — all while leaving every observable above
+	// untouched.
+	SoloGrants int64
+	Gates      int64
 }
 
 // Capture collects the observable outcome of a system whose engine has
 // finished (Wait returned).
 func Capture(s *backend.System) Observation {
 	o := Observation{
-		Makespan:       s.Eng.Makespan(),
-		Clocks:         s.Eng.Clocks(),
-		Metrics:        s.Ctr.Snapshot(),
-		SoloGrants:     s.Eng.SoloGrants(),
-		ParallelGrants: s.Eng.ParallelGrants(),
-		Gates:          s.Eng.Gates(),
+		Makespan:   s.Eng.Makespan(),
+		Clocks:     s.Eng.Clocks(),
+		Metrics:    s.Ctr.Snapshot(),
+		SoloGrants: s.Eng.SoloGrants(),
+		Gates:      s.Eng.Gates(),
 	}
 	if s.Tracer != nil {
 		o.Events = s.Tracer.Len()
@@ -90,8 +87,8 @@ func TraceDigest(b *trace.Buffer) uint64 {
 }
 
 // Diff returns a description of the first divergence between two
-// observations, or "" when they are bit-identical. SoloGrants,
-// ParallelGrants and Gates are not compared (see Observation).
+// observations, or "" when they are bit-identical. SoloGrants and Gates
+// are not compared (see Observation).
 func Diff(a, b Observation) string {
 	switch {
 	case a.Makespan != b.Makespan:

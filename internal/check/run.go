@@ -24,7 +24,6 @@ type Variant struct {
 	Eager        bool // fused cost charging off: every lazy charge gates immediately
 	LifecycleOff bool // fork/exec/exit structural fast lane off: per-leaf reference paths
 	VMAOff       bool // munmap/mprotect/dirty-arm structural fast lane off: per-page reference loops
-	Workers      int  // ≥ 2: vclock horizon-parallel executor at that worker budget
 
 	// Fault injections, applied at every generated checkpoint.
 	RevokeSolo   bool // force a solo-bypass revocation
@@ -49,13 +48,11 @@ func Variants() []Variant {
 		{Name: "revoke-solo", RevokeSolo: true},
 		{Name: "spurious-sync", SpuriousSync: true},
 		{Name: "lifecycle-off", LifecycleOff: true},
-		{Name: "parallel-engine", Workers: 2},
-		{Name: "parallel-engine-4", Workers: 4},
 		{Name: "dirtylog-on", DirtyLog: true},
 		{Name: "vma-off", VMAOff: true},
 		{Name: "everything", ByPage: true, SoloOff: true, CursorBypass: true,
 			Eager: true, LifecycleOff: true, VMAOff: true,
-			RevokeSolo: true, SpuriousSync: true, Workers: 4},
+			RevokeSolo: true, SpuriousSync: true},
 	}
 }
 
@@ -81,9 +78,6 @@ func runVariant(p *Program, v Variant, inspect func(*backend.System)) (Observati
 		}
 		if v.Eager {
 			sys.Eng.SetEagerCharges(true)
-		}
-		if v.Workers > 1 {
-			sys.Eng.SetParallel(v.Workers)
 		}
 		g, err := sys.NewGuest("fuzz")
 		if err != nil {

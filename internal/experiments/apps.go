@@ -22,7 +22,6 @@ func init() {
 func appRun(cfg backend.Config, sc Scale, conc int, imagePages int, fn func(p *guest.Process)) (mean int64, failures int) {
 	opt := backend.DefaultOptions()
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	rt := container.NewRuntime(s)
 	cs, err := rt.DeployFleet(conc, imagePages, 50_000, func(idx int, p *guest.Process) { fn(p) })

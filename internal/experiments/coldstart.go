@@ -33,7 +33,6 @@ func coldstart(sc Scale, w io.Writer) error {
 	vals := runCells(sc, len(cfgs)*nb, func(i int) string {
 		opt := backend.DefaultOptions()
 		opt.Cores = sc.Cores
-		opt.EngineWorkers = sc.EngineWorkers
 		s := backend.NewSystem(cfgs[i/nb], opt)
 		rt := container.NewRuntime(s)
 		cs, err := rt.DeployFleet(bursts[i%nb], 32, 10_000, func(_ int, p *guest.Process) {

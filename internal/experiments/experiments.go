@@ -51,13 +51,6 @@ type Scale struct {
 	// Results are always assembled in cell-index order, so the output
 	// bytes are identical at every setting.
 	Parallel int
-	// EngineWorkers, when ≥ 2, enables intra-cell vCPU parallelism: every
-	// cell's vclock engine runs its horizon-parallel executor with that
-	// worker budget (backend.Options.EngineWorkers). Schedules are
-	// bit-identical to the serial engine, so the output bytes are
-	// identical at every setting; it composes with Parallel under one
-	// GOMAXPROCS budget.
-	EngineWorkers int
 
 	// PrecopyRatePages is the pre-copy migration mutator's dirty rate in
 	// pages per virtual millisecond, PrecopyThreshold the stop-and-copy

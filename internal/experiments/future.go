@@ -43,7 +43,6 @@ func futureExp(sc Scale, w io.Writer) error {
 		v := variants[i]
 		opt := backend.DefaultOptions()
 		opt.Cores = sc.Cores
-		opt.EngineWorkers = sc.EngineWorkers
 		v.mut(&opt)
 		s := backend.NewSystem(backend.PVMNST, opt)
 		g, err := s.NewGuest("future")

@@ -57,7 +57,6 @@ func table3(sc Scale, w io.Writer) error {
 func lmProcRun(cfg backend.Config, sc Scale, procs int) map[string]int64 {
 	opt := backend.DefaultOptions()
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	g, err := s.NewGuest("lmbench")
 	if err != nil {

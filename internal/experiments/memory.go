@@ -19,7 +19,6 @@ func init() {
 // `procs` concurrent processes and returns the makespan in virtual ns.
 func memRun(cfg backend.Config, opt backend.Options, sc Scale, procs int, cycle bool) int64 {
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	g, err := s.NewGuest("membench")
 	if err != nil {

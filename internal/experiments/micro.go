@@ -211,7 +211,6 @@ func fig2(sc Scale, w io.Writer) error {
 // and returns the mean per-container measured time.
 func runConcurrent(cfg backend.Config, opt backend.Options, sc Scale, conc int, fn func(p *guest.Process) int64) int64 {
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	results := make([]int64, conc)
 	// Hold the engine across the admission loop (see memRun).

@@ -32,35 +32,6 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersByteIdentical runs multi-vCPU experiment grids with the
-// intra-cell horizon-parallel engine enabled — alone and composed with the
-// cross-cell fan-out — and asserts the output bytes match the fully serial
-// run exactly.
-func TestEngineWorkersByteIdentical(t *testing.T) {
-	for _, id := range []string{"fig10", "fig2"} {
-		serial := QuickScale()
-		var sout bytes.Buffer
-		if err := Run(id, serial, &sout); err != nil {
-			t.Fatalf("%s serial: %v", id, err)
-		}
-		for _, workers := range []int{2, 4} {
-			for _, cells := range []int{0, 4} {
-				sc := QuickScale()
-				sc.EngineWorkers = workers
-				sc.Parallel = cells
-				var pout bytes.Buffer
-				if err := Run(id, sc, &pout); err != nil {
-					t.Fatalf("%s workers=%d cells=%d: %v", id, workers, cells, err)
-				}
-				if !bytes.Equal(sout.Bytes(), pout.Bytes()) {
-					t.Errorf("%s: engine-workers=%d cells=%d changed output\n--- serial ---\n%s\n--- parallel ---\n%s",
-						id, workers, cells, sout.String(), pout.String())
-				}
-			}
-		}
-	}
-}
-
 // TestRunCellsOrderAndPanic checks the runner's contract directly: results
 // land at their cell index regardless of worker count, and a panicking cell
 // is re-raised on the caller.

@@ -59,7 +59,6 @@ func mutate(p *guest.Process, base arch.VA, n int, strided bool) {
 // lengths and therefore its convergence.
 func precopyCell(cfg backend.Config, opt backend.Options, sc Scale, strided bool) precopyResult {
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	g, err := s.NewGuest("migrate")
 	if err != nil {

@@ -88,11 +88,10 @@ type ownedOutcome struct {
 	Log    []string
 }
 
-func runOwnedScript(t *testing.T, s ownedScript, owned bool, parallel int, soloOff bool) (ownedOutcome, int64) {
+func runOwnedScript(t *testing.T, s ownedScript, owned, soloOff bool) (ownedOutcome, int64) {
 	t.Helper()
 	e := NewEngine()
 	e.SetCores(s.cores)
-	e.SetParallel(parallel)
 	e.SetSoloBypass(!soloOff)
 	l := e.NewLock("guest-private")
 	var mu sync.Mutex
@@ -121,19 +120,18 @@ func runOwnedScript(t *testing.T, s ownedScript, owned bool, parallel int, soloO
 
 // TestOwnedLockMatchesGated: owning a lock changes how much a run orders,
 // never what it computes — clocks, lock statistics and the order of
-// shared-state effects match the ordinary lock, on the serial engine, with
-// the solo bypass off, and under the horizon-parallel executor.
+// shared-state effects match the ordinary lock, with the solo bypass on and
+// off.
 func TestOwnedLockMatchesGated(t *testing.T) {
 	for _, s := range ownedScripts {
 		for _, mode := range []struct {
-			name     string
-			parallel int
-			soloOff  bool
-		}{{"serial", 0, false}, {"solo-off", 0, true}, {"parallel-2", 2, false}} {
+			name    string
+			soloOff bool
+		}{{"serial", false}, {"solo-off", true}} {
 			t.Run(s.name+"/"+mode.name, func(t *testing.T) {
 				for trial := 0; trial < 10; trial++ {
-					want, gated := runOwnedScript(t, s, false, mode.parallel, mode.soloOff)
-					got, gates := runOwnedScript(t, s, true, mode.parallel, mode.soloOff)
+					want, gated := runOwnedScript(t, s, false, mode.soloOff)
+					got, gates := runOwnedScript(t, s, true, mode.soloOff)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("owned lock changed the outcome:\n  owned %+v\n  gated %+v", got, want)
 					}

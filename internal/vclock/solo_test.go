@@ -1,9 +1,11 @@
 package vclock
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Solo-bypass edge cases: the fast path must engage when a vCPU runs alone,
@@ -175,6 +177,102 @@ func TestSetSoloBypassMidRun(t *testing.T) {
 	if g := e.SoloGrants(); g != 2 {
 		t.Fatalf("SoloGrants = %d, want 2", g)
 	}
+}
+
+// TestSoloRevocationStress revokes and re-enables the solo grant from
+// another goroutine, at real times no schedule fixes, while a lone vCPU runs
+// a long mixed workload. With one vCPU the grant stands most of the time, so
+// most revocations land on or between fast-path operations. The driver also
+// admits a peer vCPU at time 0, which takes one charge and leaves: the
+// admission revokes the grant and then reads the lone vCPU's clock to place
+// the peer in the heap, which the soloActive/soloBusy handshake must order
+// after any fast operation in flight (the race detector reports it if not).
+// The peer never touches the lock and cores is unlimited, so the lone
+// vCPU's time is its own: every charge must be exactly accounted, which the
+// vCPU checks against its own running sum as it goes. The makespan must
+// match an untoggled run's, Audit must pass, and the grant must have been
+// re-issued at least once or the stress is vacuous.
+func TestSoloRevocationStress(t *testing.T) {
+	const iters = 200_000
+	run := func(toggle bool) (makespan, grants int64) {
+		e := NewEngine()
+		l := e.NewLock("mmu")
+		e.Go(0, func(c *CPU) {
+			var want int64
+			for j := 0; j < iters; j++ {
+				d := int64(3 + j%7)
+				c.Advance(d)
+				want += d
+				if j%5 == 0 {
+					l.With(c, 10, nil)
+					want += 10
+				}
+				if j%3 == 0 {
+					d = int64(1 + j%11)
+					c.Compute(d)
+					want += d
+				}
+				d = int64(j % 4)
+				c.AdvanceLazy(d)
+				want += d
+				if j%11 == 0 {
+					c.Sync()
+				}
+				if j%13 == 0 {
+					if got := c.Now(); got != want {
+						panic(fmt.Sprintf("iteration %d: Now = %d, want %d", j, got, want))
+					}
+				}
+			}
+		})
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		if toggle {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					switch i % 4 {
+					case 0:
+						e.RevokeSolo()
+					case 1:
+						e.SetSoloBypass(false)
+					case 2:
+						e.SetSoloBypass(true)
+					case 3:
+						p := e.NewCPU(0)
+						p.Advance(1)
+						p.Done()
+					}
+					time.Sleep(20 * time.Microsecond)
+				}
+			}()
+		}
+		e.Wait()
+		close(stop)
+		wg.Wait()
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Makespan(), e.SoloGrants()
+	}
+	want, _ := run(false)
+	got, grants := run(true)
+	if got != want {
+		t.Fatalf("makespan = %d under revocation, want %d", got, want)
+	}
+	if grants < 2 {
+		t.Fatalf("SoloGrants = %d: the grant was never revoked and re-issued", grants)
+	}
+	t.Logf("%d solo grants", grants)
 }
 
 // The solo-bypass on/off differential lives in internal/check

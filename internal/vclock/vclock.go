@@ -24,20 +24,6 @@
 // bit-identical to a reference O(n) implementation of the same discipline
 // (asserted by TestHeapMatchesLinearReference).
 //
-// The horizon-parallel executor (SetParallel) relaxes when a vCPU's
-// goroutine may run, never when its effects commit: an Advance by a non-root
-// vCPU is pooled into a per-vCPU run-ahead sum instead of parking the vCPU
-// at the min-clock gate, and the vCPU keeps driving its segment — per the
-// gate-first rule, work between gating operations touches only per-vCPU
-// state, so up to `workers` such segments proceed concurrently. The pooled
-// sum itself commits through the ordinary root cascade at exactly the
-// vCPU's virtual slot (processRootLocked), below the horizon formed by
-// every other vCPU's committed clock. Everything order-sensitive — Sync,
-// Acquire, Release, Compute (its dilation reads the runnable count), and
-// departure — still commits fully serialized at the heap root, so
-// schedules, clocks, and observables are bit-identical to the serial
-// engine by construction.
-//
 // A Lock can be owned by one vCPU (Lock.Own): state only that vCPU can reach
 // needs no global ordering, so the owner takes and drops the lock without
 // parking or touching the heap, recording the same statistics at its exact
@@ -113,21 +99,6 @@ type Engine struct {
 	// the bypass actually engaged).
 	soloGrants int64
 
-	// par, when ≥ 2, is the worker budget of the horizon-parallel executor
-	// (SetParallel): at most par vCPUs may run ahead of the heap root with
-	// an uncommitted charge pool at once. Zero (the default) disables the
-	// executor; every charge takes the serial heap path.
-	par int
-
-	// grantsOut counts vCPUs currently running ahead (CPU.ahead > 0).
-	// Incremented when a pool opens, decremented when the root cascade
-	// commits it, bounding concurrent run-ahead segments by par.
-	grantsOut int
-
-	// parGrants counts charges the horizon-parallel executor deferred into
-	// run-ahead pools (diagnostic; lets tests assert the executor engaged).
-	parGrants int64
-
 	// lockWaiters counts vCPUs parked on lock waiter queues (state
 	// lockWait). Solo mode is never granted while any exist: a release by
 	// the would-be solo vCPU must go through the engine to hand the lock
@@ -188,39 +159,6 @@ func (e *Engine) Gates() int64 {
 	return n
 }
 
-// SetParallel sets the worker budget of the horizon-parallel executor: up
-// to workers vCPUs may pool latency charges (Advance) into a per-vCPU
-// run-ahead sum and keep driving their segments concurrently instead of
-// parking at the min-clock gate, eliminating the park/wake round trip the
-// serial engine pays per gated operation in multi-vCPU cells. workers < 2
-// disables the executor (the default). Safe to call mid-run.
-//
-// Schedules are bit-identical at every setting: a pooled sum still commits
-// through the root cascade at exactly the vCPU's virtual slot (see
-// runAheadLocked for the argument), and every order-sensitive operation
-// stays serialized at the heap root. The solo bypass takes precedence —
-// when exactly one vCPU is runnable it skips the engine entirely.
-//
-// Like the serial engine, mid-run vCPU admission (Engine.Go / NewCPU) must
-// come from a driver goroutine, not from a running vCPU whose clock may be
-// ahead of the newcomer's start time.
-func (e *Engine) SetParallel(workers int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if workers < 2 {
-		workers = 0
-	}
-	e.par = workers
-}
-
-// ParallelGrants returns how many charges the horizon-parallel executor
-// deferred into run-ahead pools (diagnostic, for tests).
-func (e *Engine) ParallelGrants() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parGrants
-}
-
 // SetEagerCharges disables (on=true) or restores (on=false) fused cost
 // charging: with eager charges every AdvanceLazy gates immediately like
 // Advance. Deferred charges are always folded into the clock before any
@@ -246,14 +184,14 @@ func (e *Engine) RevokeSolo() {
 }
 
 // Clocks returns every vCPU's current virtual time (pending lazy charges
-// and uncommitted run-ahead sums folded in), indexed by vCPU id. Safe to
-// call mid-run from a workload vCPU's own slot or after Wait.
+// folded in), indexed by vCPU id. Safe to call mid-run from a workload
+// vCPU's own slot or after Wait.
 func (e *Engine) Clocks() []int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]int64, len(e.cpus))
 	for i, c := range e.cpus {
-		out[i] = c.now + c.ahead + c.lazy
+		out[i] = c.now + c.lazy
 	}
 	return out
 }
@@ -261,12 +199,10 @@ func (e *Engine) Clocks() []int64 {
 // Audit verifies the engine's structural invariants: the heap is a valid
 // (clock, id) min-heap with consistent back-indices, exactly the running
 // vCPUs are indexed, the engine-wide lock-waiter count matches the parked
-// vCPUs, the horizon-parallel executor's run-ahead accounting matches the
-// vCPUs holding uncommitted charge pools, any standing solo grant
-// satisfies its preconditions (bypass enabled, exactly one runnable vCPU,
-// no lock intents, no waiters, no run-ahead pool), and no owned lock has
-// waiters or a holder other than its owner. It is read-only and safe to
-// call from a workload vCPU between operations.
+// vCPUs, any standing solo grant satisfies its preconditions (bypass
+// enabled, exactly one runnable vCPU, no lock intents, no waiters), and no
+// owned lock has waiters or a holder other than its owner. It is read-only
+// and safe to call from a workload vCPU between operations.
 func (e *Engine) Audit() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -287,20 +223,7 @@ func (e *Engine) Audit() error {
 	}
 	inHeap := 0
 	waiters := 0
-	ahead := 0
 	for _, c := range e.cpus {
-		if c.ahead > 0 {
-			ahead++
-			if c.st != running {
-				return fmt.Errorf("vclock: run-ahead pool on non-running vCPU %d (state %d)", c.id, c.st)
-			}
-			if c.hi < 0 {
-				return fmt.Errorf("vclock: run-ahead pool on vCPU %d outside the heap", c.id)
-			}
-		}
-		if c.departing && c.st == running && c.ahead == 0 {
-			return fmt.Errorf("vclock: vCPU %d departing without a pending run-ahead pool", c.id)
-		}
 		switch c.st {
 		case running:
 			inHeap++
@@ -324,9 +247,6 @@ func (e *Engine) Audit() error {
 	if waiters != e.lockWaiters {
 		return fmt.Errorf("vclock: lockWaiters=%d but %d vCPUs are in lockWait", e.lockWaiters, waiters)
 	}
-	if ahead != e.grantsOut {
-		return fmt.Errorf("vclock: grantsOut=%d but %d vCPUs hold run-ahead pools", e.grantsOut, ahead)
-	}
 	for _, l := range e.owned {
 		switch {
 		case len(l.waiters) > 0:
@@ -347,8 +267,6 @@ func (e *Engine) Audit() error {
 			return fmt.Errorf("vclock: solo grant standing with %d lock waiters", e.lockWaiters)
 		case s.pendingLock != nil:
 			return fmt.Errorf("vclock: solo vCPU %d has a pending lock intent", s.id)
-		case s.ahead > 0:
-			return fmt.Errorf("vclock: solo vCPU %d still holds a run-ahead pool", s.id)
 		case !s.soloActive.Load():
 			return fmt.Errorf("vclock: solo grant not published to vCPU %d", s.id)
 		}
@@ -377,24 +295,6 @@ type CPU struct {
 	// round trip; see Engine.processRootLocked.
 	pendingLock *Lock
 
-	// ahead is the vCPU's uncommitted run-ahead pool: latency charges the
-	// horizon-parallel executor deferred so the goroutine could keep
-	// driving its segment instead of parking at the min-clock gate. The
-	// clock and heap key stay at the committed floor; the pool commits as
-	// one sum when the root cascade reaches this vCPU's slot
-	// (processRootLocked), which is exact because latency charges are
-	// order-insensitive — they read no schedule state and only their total
-	// matters. Accounted in Engine.grantsOut while positive. Guarded by
-	// e.mu.
-	ahead int64
-
-	// departing marks a finished vCPU waiting for its run-ahead pool to
-	// commit: the root cascade removes it from the schedule atomically at
-	// the commit slot, reproducing the serial engine's departure point (a
-	// finisher's last charge commits at the root and the removal follows
-	// before any later-slot vCPU runs). Guarded by e.mu.
-	departing bool
-
 	// lazy accumulates deferred charges (AdvanceLazy); owned by the
 	// driving goroutine, folded into now under e.mu at the next engine
 	// operation.
@@ -403,7 +303,7 @@ type CPU struct {
 	// mark is the part of lazy that precedes the vCPU's last elided
 	// ordering point (an owned acquire or release, or a private Order), or
 	// -1 when its last ordering point was a gated operation. The elided
-	// point's exact time is now+ahead+mark; Done departs there. Owned by
+	// point's exact time is now+mark; Done departs there. Owned by
 	// the driving goroutine, like lazy, and reset whenever lazy folds.
 	mark int64
 
@@ -456,11 +356,7 @@ func (e *Engine) maybeEnterSoloLocked() {
 		return
 	}
 	c := e.heap[0]
-	// A vCPU with an uncommitted run-ahead pool (or one departing through
-	// the root cascade) is not eligible: solo fast-path operations never
-	// reach the engine, so the pool would not commit. The pool drains at
-	// the vCPU's next gated operation, which re-checks eligibility.
-	if c.pendingLock != nil || c.ahead > 0 || c.departing || e.solo == c {
+	if c.pendingLock != nil || e.solo == c {
 		return
 	}
 	if e.solo != nil {
@@ -686,7 +582,7 @@ func (e *Engine) Makespan() int64 {
 	defer e.mu.Unlock()
 	var m int64
 	for _, c := range e.cpus {
-		t := c.now + c.ahead + c.lazy
+		t := c.now + c.lazy
 		if t > m {
 			m = t
 		}
@@ -719,70 +615,6 @@ func (e *Engine) applyChargeLocked(c *CPU, d int64, compute bool) {
 	e.siftDown(c.hi)
 }
 
-// foldLocked folds pending lazy time into the run-ahead pool when one is
-// outstanding — the lazy stretch precedes any new engine-ordered action, so
-// it must commit with (and not before) the pooled charges — or directly
-// into the clock otherwise, exactly as the serial engine does. Caller holds
-// e.mu.
-func (c *CPU) foldLocked() {
-	if c.ahead > 0 {
-		c.ahead += c.takeLazy()
-		return
-	}
-	c.flushLazyLocked()
-}
-
-// runAheadLocked runs one latency charge through the horizon-parallel
-// executor; it returns true when the charge has been pooled (the caller
-// returns without parking) and false when the caller must take the serial
-// gated path.
-//
-// Pooling is serial-equivalent because a latency charge is exact and
-// order-insensitive: it reads no schedule state (unlike Compute, whose
-// dilation reads the runnable count), moves only its own vCPU's clock, and
-// its effects on every other vCPU are fully summarized by the clock's
-// eventual value. The pool commits as one sum when the root cascade
-// reaches this vCPU's committed floor (processRootLocked) — the same
-// virtual slot at which the serial engine would have committed the first
-// pooled charge — and the vCPU's heap key never moves before that instant,
-// so every gated operation of every other vCPU still waits on exactly the
-// serial schedule's ordering. The segment the vCPU keeps driving touches
-// only per-vCPU state by the gate-first rule: any shared-state touch gates
-// (Sync/Acquire) and therefore drains the pool first.
-//
-// Caller holds e.mu.
-func (e *Engine) runAheadLocked(c *CPU, d int64) bool {
-	if c.ahead > 0 && e.par > 0 {
-		// Already running ahead: extend the pool. When we are the root the
-		// cascade can make no progress until the pool commits, so drain it
-		// inline rather than waiting for another vCPU's operation.
-		c.ahead += c.takeLazy() + d
-		e.parGrants++
-		if e.heap[0] == c {
-			e.processRootLocked()
-		}
-		return true
-	}
-	if e.par == 0 || c.ahead > 0 || e.grantsOut >= e.par {
-		// Executor off (any outstanding pool drains through the serial
-		// path's gate) or the worker budget is exhausted.
-		return false
-	}
-	// The serial engine folds pending lazy time into the clock before
-	// gating, so the vCPU's slot for this charge — the committed floor the
-	// pool waits at, and the (clock, id) key every other vCPU orders
-	// against — must include it. Flush first, then decide rootness.
-	c.flushLazyLocked()
-	if e.heap[0] == c {
-		// Park-free root: the serial path commits immediately anyway.
-		return false
-	}
-	c.ahead = d
-	e.grantsOut++
-	e.parGrants++
-	return true
-}
-
 // processRootLocked drives the schedule forward after any change to the
 // runnable heap. It examines the vCPU at the heap root: a parked root that
 // declared a lock intent or a pure clock charge is serviced inline — the
@@ -798,33 +630,6 @@ func (e *Engine) processRootLocked() {
 	}
 	for len(e.heap) > 0 {
 		r := e.heap[0]
-		if r.ahead > 0 {
-			// Commit r's run-ahead pool at exactly its slot and keep
-			// cascading. A departing r (its goroutine finished while the
-			// pool was pending) leaves the schedule atomically at the
-			// commit: the serial engine removes a finisher immediately
-			// after its last charge commits at the root, before any
-			// later-slot vCPU is rescheduled, and this reproduces that
-			// departure point by construction.
-			d := r.ahead
-			r.ahead = 0
-			e.grantsOut--
-			r.now += d
-			r.Advanced += d
-			if r.departing {
-				r.flushLazyLocked()
-				e.heapRemove(r)
-				r.st = done
-				e.wakeLocked(r)
-				continue
-			}
-			e.siftDown(r.hi)
-			// r may be parked in a gate behind its own pool; it is the
-			// root's wake either way if still minimal, but the commit may
-			// also have demoted it, so signal it directly.
-			e.wakeLocked(r)
-			continue
-		}
 		l := r.pendingLock
 		if l == nil {
 			e.wakeLocked(r)
@@ -875,19 +680,16 @@ func (e *Engine) parkLocked(c *CPU) {
 	c.waiting = false
 }
 
-// gateLocked blocks until c holds the global minimum clock with no
-// uncommitted run-ahead pool (the pool commits through the cascade at c's
-// floor slot before the gate can be satisfied, so the caller's operation
-// lands strictly after every pooled charge). Caller holds e.mu; the lock is
-// held on return.
+// gateLocked blocks until c holds the global minimum clock. Caller holds
+// e.mu; the lock is held on return.
 //
 // Before parking, the current minimum is signalled: the caller may have just
 // changed the ordering (e.g. by folding lazy charges into its clock) without
 // any other notification reaching the vCPU that now holds the minimum.
 func (e *Engine) gateLocked(c *CPU) {
-	for e.heap[0] != c || c.ahead > 0 {
+	for e.heap[0] != c {
 		e.processRootLocked()
-		if e.heap[0] == c && c.ahead == 0 {
+		if e.heap[0] == c {
 			// Servicing parked intents promoted us to the root; do not
 			// park — nobody is left to wake us.
 			return
@@ -911,8 +713,8 @@ func (c *CPU) flushLazyLocked() {
 }
 
 // takeLazy removes and returns the deferred charges for folding into the
-// clock (or a run-ahead pool) at a gated operation. That operation is the
-// vCPU's latest ordering point, so it also supersedes any elided one.
+// clock at a gated operation. That operation is the vCPU's latest ordering
+// point, so it also supersedes any elided one.
 func (c *CPU) takeLazy() int64 {
 	d := c.lazy
 	c.lazy, c.mark = 0, -1
@@ -922,21 +724,18 @@ func (c *CPU) takeLazy() int64 {
 // ID returns the vCPU's stable identifier.
 func (c *CPU) ID() int { return c.id }
 
-// Now returns the vCPU's current virtual time including pending lazy charges
-// and any uncommitted run-ahead pool — the vCPU's own observations (trace
-// timestamps in particular) must be exact regardless of how its charges are
-// batched for commit.
+// Now returns the vCPU's current virtual time including pending lazy
+// charges — the vCPU's own observations (trace timestamps in particular)
+// must be exact regardless of how its charges are batched for commit.
 func (c *CPU) Now() int64 {
 	if c.soloFast() {
-		// Solo implies no pooled run-ahead (the grant guard requires an
-		// empty pool and the solo path never creates one).
 		t := c.now + c.lazy
 		c.soloEnd()
 		return t
 	}
 	c.e.mu.Lock()
 	defer c.e.mu.Unlock()
-	return c.now + c.ahead + c.lazy
+	return c.now + c.lazy
 }
 
 // AdvanceLazy charges d nanoseconds without synchronizing with the engine.
@@ -983,12 +782,7 @@ func (c *CPU) Order(d int64, private bool) {
 //
 // Advance gates on the min-clock before committing the charge: workload code
 // between engine operations therefore runs only in its vCPU's virtual-time
-// slot. Under the horizon-parallel executor (SetParallel) the charge may
-// instead be pooled — the vCPU keeps running while its clock stays at the
-// committed floor until the root cascade reaches its slot — which is
-// serial-equivalent because latency charges are exact and order-insensitive
-// and every shared-state touch gates first (Sync/Acquire), draining the
-// pool; see runAheadLocked.
+// slot.
 func (c *CPU) Advance(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative advance %d", d))
@@ -1007,10 +801,7 @@ func (c *CPU) Advance(d int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.checkAbortLocked()
-	if e.runAheadLocked(c, d) {
-		return
-	}
-	c.foldLocked()
+	c.flushLazyLocked()
 	e.gateLocked(c)
 	e.applyChargeLocked(c, d, false)
 	e.processRootLocked()
@@ -1020,11 +811,6 @@ func (c *CPU) Advance(d int64) {
 // Compute charges d nanoseconds of CPU-bound work. When more vCPUs are
 // runnable than the engine's simulated core count, the charge is dilated
 // proportionally, modeling timeslicing on an oversubscribed machine.
-//
-// Compute always takes the gated path, even under the horizon-parallel
-// executor: the dilation reads the runnable count, so the charge must
-// commit at exactly its virtual slot — and its amount must be known
-// immediately, because the vCPU's subsequent trace timestamps include it.
 func (c *CPU) Compute(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative compute %d", d))
@@ -1043,7 +829,7 @@ func (c *CPU) Compute(d int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.checkAbortLocked()
-	c.foldLocked()
+	c.flushLazyLocked()
 	e.gateLocked(c)
 	e.applyChargeLocked(c, d, true)
 	e.processRootLocked()
@@ -1067,7 +853,7 @@ func (c *CPU) Sync() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.checkAbortLocked()
-	c.foldLocked()
+	c.flushLazyLocked()
 	e.gateLocked(c)
 	e.processRootLocked()
 	e.maybeEnterSoloLocked()
@@ -1089,57 +875,22 @@ func (c *CPU) Done() {
 		// left from there, every vCPU behind it still counting it runnable
 		// (Compute dilation reads the count). Fold the charges up to the
 		// point into the key and leave only from the root, as that run
-		// does.
+		// does. The wait must not panic (Done also drains aborted runs),
+		// so it re-checks aborted instead of using sleepLocked.
 		c.gates++
 		d := c.mark
 		c.lazy -= d
 		c.mark = -1
-		if c.ahead > 0 {
-			c.ahead += d
-		} else {
-			c.now += d
-			c.Advanced += d
-			e.siftDown(c.hi)
-		}
-		for !e.aborted && (e.heap[0] != c || c.ahead > 0) {
+		c.now += d
+		c.Advanced += d
+		e.siftDown(c.hi)
+		for !e.aborted && e.heap[0] != c {
 			e.processRootLocked()
-			if e.heap[0] == c && c.ahead == 0 {
+			if e.heap[0] == c {
 				break
 			}
 			e.parkLocked(c)
 		}
-	}
-	if c.ahead > 0 && c.hi >= 0 && !e.aborted {
-		// An uncommitted run-ahead pool is pending: departures change the
-		// runnable count other vCPUs read (Compute dilation), so the vCPU
-		// may leave only at the pool's commit slot. Mark it departing and
-		// let the root cascade commit the pool and remove it atomically
-		// (processRootLocked), exactly where the serial engine removes a
-		// finisher — its last charge commits at the root and the removal
-		// follows before any later-slot vCPU runs. Park until then; this
-		// wait loop must not panic (Done also drains aborted runs), so it
-		// re-checks aborted instead of using sleepLocked.
-		c.departing = true
-		e.processRootLocked()
-		for c.hi >= 0 && !e.aborted {
-			e.parkLocked(c)
-		}
-		c.departing = false
-		if c.hi < 0 {
-			// The cascade completed our departure; the population may
-			// have dropped to one in the process.
-			e.maybeEnterSoloLocked()
-			return
-		}
-		// Aborted while parked: fall through and drain.
-	}
-	if c.ahead > 0 {
-		// Aborted (ordering is void) — commit the pool for accounting and
-		// return the worker-budget slot so the audit invariants hold.
-		c.now += c.ahead
-		c.Advanced += c.ahead
-		c.ahead = 0
-		e.grantsOut--
 	}
 	c.flushLazyLocked()
 	if c.hi >= 0 {
@@ -1211,7 +962,7 @@ func (l *Lock) Own(c *CPU) {
 		panic("vclock: " + l.name + " is already owned")
 	case l.holder != nil || len(l.waiters) > 0:
 		panic("vclock: " + l.name + " owned while in use")
-	case l.freeAt > c.now+c.ahead+c.lazy:
+	case l.freeAt > c.now+c.lazy:
 		panic("vclock: " + l.name + " owned before its last release")
 	}
 	l.owner = c
@@ -1246,10 +997,9 @@ func (l *Lock) Stats() LockStats {
 // acquireOwned takes an owned lock for its owner at the owner's exact time
 // (every pending charge folded in: the instant a gated Acquire issued now
 // would take effect at). The lock is always free by then: only the owner
-// takes it, and its clock never runs behind its own last release. The root
-// cascade may commit the owner's run-ahead pool concurrently (now and ahead
-// trade places), so the time is read under e.mu unless c holds the solo
-// grant.
+// takes it, and its clock never runs behind its own last release. Unless c
+// holds the solo grant, the lock's fields change under e.mu, where Audit,
+// Stats and a foreign Acquire read them.
 func (l *Lock) acquireOwned(c *CPU) {
 	if l.holder == c {
 		panic("vclock: recursive acquisition of " + l.name)
@@ -1259,7 +1009,7 @@ func (l *Lock) acquireOwned(c *CPU) {
 		c.soloEnd()
 	} else {
 		l.e.mu.Lock()
-		l.grantOwned(c, c.now+c.ahead+c.lazy)
+		l.grantOwned(c, c.now+c.lazy)
 		l.e.mu.Unlock()
 	}
 	c.mark = c.lazy
@@ -1282,7 +1032,7 @@ func (l *Lock) releaseOwned(c *CPU) {
 		c.soloEnd()
 	} else {
 		l.e.mu.Lock()
-		l.dropOwned(c.now + c.ahead + c.lazy)
+		l.dropOwned(c.now + c.lazy)
 		l.e.mu.Unlock()
 	}
 	c.mark = c.lazy
@@ -1357,13 +1107,9 @@ func (l *Lock) Acquire(c *CPU) {
 		// grant is useless while we park as a waiter.
 		e.exitSoloLocked()
 	}
-	c.foldLocked()
-	if e.heap[0] == c && c.ahead == 0 {
-		// Already at our virtual slot with no pooled run-ahead: decide
-		// inline. (With a pool pending our committed slot is earlier than
-		// our real position; fall through to the intent path and let the
-		// root cascade commit the pool and then service the intent, both
-		// at the exact serial instants.)
+	c.flushLazyLocked()
+	if e.heap[0] == c {
+		// Already at our virtual slot: decide inline.
 		if l.holder != nil {
 			// Park until a release hands the lock to us.
 			c.st = lockWait
@@ -1448,7 +1194,7 @@ func (l *Lock) Release(c *CPU) {
 	if l.holder != c {
 		panic("vclock: release of " + l.name + " by non-holder")
 	}
-	c.foldLocked()
+	c.flushLazyLocked()
 	e.gateLocked(c)
 	l.heldTime += c.now - l.lastAcquire
 	l.freeAt = c.now
