@@ -34,16 +34,16 @@ check-bench-refs:
 	done; \
 	exit $$missing
 
-# fuzz sweeps the full metamorphic corpus (11 variants per seed, including
-# the lifecycle and ranged VMA-mutation fast lanes disabled and dirty-page
-# logging armed) plus the backend and bound-sandbox differential grids
-# without the race detector's slowdown.
+# fuzz sweeps the full metamorphic corpus (10 variants per seed, including
+# the lifecycle fast lane disabled and dirty-page logging armed) plus the
+# backend and bound-sandbox differential grids without the race detector's
+# slowdown.
 fuzz:
 	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential|TestBoundFleetDifferential' ./internal/check/
-	$(GO) test -count=1 -run 'TestRangedAccessEquivalence|TestForkTeardownEquivalence|TestDirtyLog|TestVMAMutation' ./internal/backend/
+	$(GO) test -count=1 -run 'TestRangedAccessEquivalence|TestForkTeardownEquivalence|TestDirtyLog' ./internal/backend/
 
 # bench writes a fresh report (benchreport's default file name; it is not
-# committed): the TouchRange, ColdFault, ProcessLifecycle, VMAMutation,
+# committed): the TouchRange, ColdFault, ProcessLifecycle,
 # MultiVCPUContention, and DirtyScan grids plus the PreCopy experiment
 # benchmark across all five MMU backends, and the serial default-grid wall
 # clock (compared against the newest committed artifact's baseline).

@@ -481,94 +481,3 @@ func BenchmarkProcessLifecyclePerLeaf(b *testing.B) {
 		b.Run(op, func(b *testing.B) { benchLifecycleGrid(b, op, true) })
 	}
 }
-
-// Ranged VMA-mutation benchmarks: ns/op is the simulator's cost per mutation
-// call over a resident area of the given size — `mprotect` flips the area
-// read-only and back (two calls per iteration, both timed), `munmap` drops
-// the whole area (the re-mmap+touch that rebuilds it for the next iteration
-// is untimed), and `dirtyarm` harvests a fully redirtied area through an
-// armed dirty log (the arming sweep's re-protect pass dominates). The
-// PerPage variants run the retained per-page reference loops via
-// SetVMABypass; BENCH_pr10.json pairs them per backend and area size, and
-// TestVMAMutationEquivalence proves the pairs observationally identical.
-
-var vmaAreaSizes = []int{256, 1024} // 1 MiB and 4 MiB areas
-
-func benchVMAMutation(b *testing.B, cfg Config, direct bool, op string, pages int, perPage bool) {
-	if perPage {
-		SetVMABypass(true)
-		defer SetVMABypass(false)
-	}
-	opt := DefaultOptions()
-	opt.DirectPaging = direct
-	sys := NewSystem(cfg, opt)
-	g, err := sys.NewGuest("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := b.N
-	b.ReportAllocs()
-	b.ResetTimer()
-	g.Run(0, 4, func(p *Process) {
-		base := p.Mmap(pages)
-		p.TouchRange(base, pages, true) // resident area
-		if op == "dirtyarm" {
-			p.StartDirtyLog()
-		}
-		for i := 0; i < n; i++ {
-			switch op {
-			case "mprotect":
-				if err := p.Mprotect(base, pages, false); err != nil {
-					panic(err)
-				}
-				if err := p.Mprotect(base, pages, true); err != nil {
-					panic(err)
-				}
-			case "munmap":
-				if err := p.Munmap(base, pages); err != nil {
-					panic(err)
-				}
-				b.StopTimer()
-				base = p.Mmap(pages)
-				p.TouchRange(base, pages, true)
-				b.StartTimer()
-			case "dirtyarm":
-				p.TouchRange(base, pages, true)
-				if got := p.CollectDirty(); len(got) != pages {
-					panic(fmt.Sprintf("dirty arm harvested %d pages, wrote %d", len(got), pages))
-				}
-			}
-		}
-		if op == "dirtyarm" {
-			p.StopDirtyLog()
-		}
-	})
-	sys.Eng.Wait()
-	b.StopTimer()
-	if n > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(pages), "ns/page")
-	}
-}
-
-func benchVMAGrid(b *testing.B, op string, perPage bool) {
-	for _, c := range touchRangeConfigs {
-		for _, pages := range vmaAreaSizes {
-			c, pages := c, pages
-			b.Run(fmt.Sprintf("%s/pages=%d", c.name, pages), func(b *testing.B) {
-				benchVMAMutation(b, c.cfg, c.direct, op, pages, perPage)
-			})
-		}
-	}
-}
-
-func BenchmarkVMAMutation(b *testing.B) {
-	for _, op := range []string{"mprotect", "munmap", "dirtyarm"} {
-		b.Run(op, func(b *testing.B) { benchVMAGrid(b, op, false) })
-	}
-}
-
-func BenchmarkVMAMutationPerPage(b *testing.B) {
-	for _, op := range []string{"mprotect", "munmap", "dirtyarm"} {
-		b.Run(op, func(b *testing.B) { benchVMAGrid(b, op, true) })
-	}
-}

@@ -1,10 +1,12 @@
-// Command benchreport produces the PR's before/after performance artifact
-// (BENCH_pr10.json by default): it runs the TouchRange, ColdFault,
-// ProcessLifecycle, VMAMutation, and MultiVCPUContention benchmark grids —
-// each fast path against its reference implementation for every MMU backend —
-// pairs the ns/op numbers into speedups, times the default-scale experiment
-// grid serially, and emits one JSON document stamped with the host's
-// parallelism (GOMAXPROCS).
+// Command benchreport produces a performance report of the simulator: it
+// runs the TouchRange, ColdFault and ProcessLifecycle grids (each fast path
+// against its reference implementation for every MMU backend) and the
+// DirtyScan, MultiVCPUContention and PreCopy benchmarks, pairs the ns/op
+// numbers into speedups, times the default-scale experiment grid serially,
+// and emits one JSON document stamped with the host's parallelism
+// (GOMAXPROCS). The
+// default output, BENCH_pr10.json, is a fresh report that is not committed;
+// the newest committed artifact is BENCH_pr9.json.
 //
 // With -diff it instead compares two previously generated artifacts and
 // reports per-cell speedups, flagging regressions beyond -threshold. A diff
@@ -12,9 +14,10 @@
 // or different host parallelism: such numbers differ for reasons that have
 // nothing to do with the code under test.
 //
-//	go run ./cmd/benchreport -out BENCH_pr10.json
+//	go run ./cmd/benchreport -out BENCH_pr10.json                 # make bench
 //	go run ./cmd/benchreport -benchtime 500000x -skip-grid
-//	go run ./cmd/benchreport -diff BENCH_pr9.json BENCH_pr10.json
+//	go run ./cmd/benchreport -diff BENCH_pr8.json BENCH_pr9.json  # make bench-diff
+//	go run ./cmd/benchreport -diff BENCH_pr9.json BENCH_pr10.json # a fresh report
 package main
 
 import (
@@ -50,12 +53,6 @@ var contLine = regexp.MustCompile(`^BenchmarkMultiVCPUContention/(\w+)/(vcpus=\d
 // lane (the PerLeaf variant), per operation, backend, and image size.
 var lcLine = regexp.MustCompile(`^BenchmarkProcessLifecycle(PerLeaf)?/(fork|forkexit|exec)/(\w+?)/(pages=\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// vmaLine matches one VMAMutation cell: the ranged VMA-mutation fast lane
-// (structural mprotect/munmap walks, batched TLB zaps, one-pass dirty-log
-// arming) against the per-page reference lane (the PerPage variant), per
-// operation, backend, and area size.
-var vmaLine = regexp.MustCompile(`^BenchmarkVMAMutation(PerPage)?/(mprotect|munmap|dirtyarm)/(\w+?)/(pages=\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-
 // dirtyLine matches one DirtyScan cell: per backend, the cost per page
 // written and harvested through an armed dirty log.
 var dirtyLine = regexp.MustCompile(`^BenchmarkDirtyScan/(\w+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
@@ -86,17 +83,6 @@ type lcPair struct {
 	Speedup   float64 `json:"speedup"`
 }
 
-// vmaPair is one ranged VMA-mutation cell: the structural fast lane against
-// the per-page reference lane, both producing bit-identical simulations.
-// ns/op is per mutation call (mprotect flips the whole area off and back on,
-// munmap drops the whole area, dirtyarm redirties and harvests it), so at a
-// fixed area size the speedup is also the ns/page speedup.
-type vmaPair struct {
-	FastNs    float64 `json:"fast_ns_per_op"`
-	PerPageNs float64 `json:"per_page_ns_per_op"`
-	Speedup   float64 `json:"speedup"`
-}
-
 type gridTiming struct {
 	Command         string  `json:"command"`
 	BaselineWallS   float64 `json:"baseline_wall_clock_s,omitempty"`
@@ -116,10 +102,6 @@ type report struct {
 	// LifecycleBenchtime is the separate -benchtime of the ProcessLifecycle
 	// grid (each op is a whole fork or exec); -diff refuses mismatches.
 	LifecycleBenchtime string `json:"lifecycle_benchtime,omitempty"`
-	// VMABenchtime is the separate -benchtime of the VMAMutation grid (each
-	// op is a whole ranged mutation over a 256/1024-page area); -diff
-	// refuses mismatches.
-	VMABenchtime string `json:"vma_benchtime,omitempty"`
 	// PrecopyBenchtime is the separate -benchtime of the PreCopy benchmark
 	// (each op regenerates the whole experiment); -diff refuses mismatches.
 	PrecopyBenchtime string `json:"precopy_benchtime,omitempty"`
@@ -130,7 +112,6 @@ type report struct {
 	TouchRange map[string]map[string]*pair `json:"touch_range_ns_per_page"`
 	ColdFault  map[string]*pair            `json:"cold_fault_ns_per_page,omitempty"`
 	Lifecycle  map[string]*lcPair          `json:"process_lifecycle_ns_per_op,omitempty"`
-	VMA        map[string]*vmaPair         `json:"vma_mutation_ns_per_op,omitempty"`
 	MultiVCPU  map[string]*contCell        `json:"multi_vcpu_contention_ns_per_page,omitempty"`
 	// DirtyScan is per-backend ns per page written and harvested through an
 	// armed dirty log; PrecopyNs is ns per full pre-copy experiment run.
@@ -147,7 +128,6 @@ func main() {
 		skipGrid      = flag.Bool("skip-grid", false, "skip the default-grid wall-clock timings")
 		contBenchtime = flag.String("contention-benchtime", "500000x", "-benchtime for the MultiVCPUContention grid (heavier per op than the page grids)")
 		lcBenchtime   = flag.String("lifecycle-benchtime", "2000x", "-benchtime for the ProcessLifecycle grid (each op is a whole fork/exec cycle)")
-		vmaBenchtime  = flag.String("vma-benchtime", "1000x", "-benchtime for the VMAMutation grid (each op is a whole ranged mutation over a 256/1024-page area)")
 		pcBenchtime   = flag.String("precopy-benchtime", "20x", "-benchtime for the PreCopy benchmark (each op regenerates the whole experiment)")
 		baseline      = flag.String("baseline", "BENCH_pr9.json", "prior bench artifact to read the baseline grid wall clock from (empty = none)")
 		diffMode      = flag.Bool("diff", false, "compare two artifacts: benchreport -diff old.json new.json")
@@ -165,13 +145,12 @@ func main() {
 	}
 
 	rep := report{
-		PR:                  "ranged VMA-mutation fast lane",
+		PR:                  "working tree",
 		Date:                time.Now().Format("2006-01-02"),
 		Host:                fmt.Sprintf("%s/%s, GOMAXPROCS=%d", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)),
 		Benchtime:           *benchtime,
 		ContentionBenchtime: *contBenchtime,
 		LifecycleBenchtime:  *lcBenchtime,
-		VMABenchtime:        *vmaBenchtime,
 		PrecopyBenchtime:    *pcBenchtime,
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
 		Notes: []string{
@@ -181,7 +160,6 @@ func main() {
 			"cold_fault spawns a fresh solo process per 512-page chunk so every touch is a demand-zero fault against empty tables: the solo-vCPU engine bypass + bulk leaf population workload",
 			"multi_vcpu_contention runs an N-process fault/map/unmap workload on the serial engine: the host cost of the min-clock gate and the guest kernel's lock handoffs",
 			"process_lifecycle pairs the structural lifecycle fast lane (fork by level-order page-table cloning with batched COW refcounting, exec/exit by bulk subtree teardown) against the per-leaf reference lane; fork = Fork+child Exit on a resident image, forkexit adds a COW touch pass in the child, exec replaces the image in place — both lanes produce bit-identical simulations",
-			"vma_mutation pairs the ranged VMA-mutation fast lane (structural mprotect/munmap leaf-table walks, cursor shadow/EPT zaps, coalesced TLB zaps, batched refcount drops, one-pass dirty-log arming) against the per-page reference lane; mprotect = flip the whole resident area read-only and back, munmap = drop the whole resident area (the remap between iterations is untimed), dirtyarm = redirty the area and harvest it through CollectDirty — both lanes produce bit-identical simulations, so ns/op at a fixed area size is directly a ns/page comparison",
 			"dirty_scan redirties a 1024-page resident set and harvests it with CollectDirty each sweep, per backend: the write-protect lane (spt/pvm/pvm-direct) re-faults every page through its shadow choreography, the PML lane (ept variants) re-walks and ring-appends — ns/op is per page written+harvested",
 			"precopy regenerates the full pre-copy migration experiment (6 backend variants x 2 mutators at quick scale) per op",
 			"minimum ns/op of -count runs per cell after a discarded warmup pass",
@@ -193,12 +171,11 @@ func main() {
 		},
 		ColdFault: map[string]*pair{},
 		Lifecycle: map[string]*lcPair{},
-		VMA:       map[string]*vmaPair{},
 		MultiVCPU: map[string]*contCell{},
 		DirtyScan: map[string]float64{},
 	}
 
-	if err := runBenchmarks(&rep, *benchtime, *contBenchtime, *lcBenchtime, *vmaBenchtime, *pcBenchtime, *count); err != nil {
+	if err := runBenchmarks(&rep, *benchtime, *contBenchtime, *lcBenchtime, *pcBenchtime, *count); err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 		os.Exit(1)
 	}
@@ -232,11 +209,10 @@ func main() {
 // ns/op per cell is kept (the usual noise filter on a shared host). A short
 // discarded warmup pass runs first so the first cell of the measured grid
 // does not pay the cold-start penalty (build cache, CPU frequency ramp).
-func runBenchmarks(rep *report, benchtime, contBenchtime, lcBenchtime, vmaBenchtime, pcBenchtime string, count int) error {
+func runBenchmarks(rep *report, benchtime, contBenchtime, lcBenchtime, pcBenchtime string, count int) error {
 	const pagePattern = "Benchmark(TouchRange(Resident|Faulting)(PerPage)?|ColdFault(Range)?|DirtyScan)/"
 	const contPattern = "BenchmarkMultiVCPUContention/"
 	const lcPattern = "BenchmarkProcessLifecycle(PerLeaf)?/"
-	const vmaPattern = "BenchmarkVMAMutation(PerPage)?/"
 	const pcPattern = "BenchmarkPreCopy$"
 	warm := exec.Command("go", "test", "-run", "^$",
 		"-bench", pagePattern,
@@ -259,11 +235,6 @@ func runBenchmarks(rep *report, benchtime, contBenchtime, lcBenchtime, vmaBencht
 		return err
 	}
 	raw = append(raw, lcRaw...)
-	vmaRaw, err := runBenchPass(vmaPattern, vmaBenchtime, count)
-	if err != nil {
-		return err
-	}
-	raw = append(raw, vmaRaw...)
 	pcRaw, err := runBenchPass(pcPattern, pcBenchtime, count)
 	if err != nil {
 		return err
@@ -303,22 +274,7 @@ func parseBenchLines(rep *report, raw []byte) error {
 	perPage := map[cell]float64{}
 	lcFast := map[string]float64{}
 	lcPerLeaf := map[string]float64{}
-	vmaFast := map[string]float64{}
-	vmaPerPage := map[string]float64{}
 	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(raw), -1) {
-		if m := vmaLine.FindStringSubmatch(line); m != nil {
-			var ns float64
-			fmt.Sscanf(m[5], "%g", &ns)
-			dst := vmaFast
-			if m[1] == "PerPage" {
-				dst = vmaPerPage
-			}
-			key := m[2] + "/" + m[3] + "/" + m[4]
-			if old, ok := dst[key]; !ok || ns < old {
-				dst[key] = ns
-			}
-			continue
-		}
 		if m := dirtyLine.FindStringSubmatch(line); m != nil {
 			var ns float64
 			fmt.Sscanf(m[2], "%g", &ns)
@@ -419,17 +375,6 @@ func parseBenchLines(rep *report, raw []byte) error {
 			Speedup:   round2(ref / ns),
 		}
 	}
-	for key, ns := range vmaFast {
-		ref, ok := vmaPerPage[key]
-		if !ok {
-			continue
-		}
-		rep.VMA[key] = &vmaPair{
-			FastNs:    ns,
-			PerPageNs: ref,
-			Speedup:   round2(ref / ns),
-		}
-	}
 	return nil
 }
 
@@ -482,16 +427,6 @@ func diffReports(oldPath, newPath string, threshold float64, force bool) int {
 		}
 		fmt.Printf("WARNING: comparing across lifecycle benchtime %s vs %s (-force)\n",
 			oldRep.LifecycleBenchtime, newRep.LifecycleBenchtime)
-	}
-	if oldRep.VMABenchtime != "" && newRep.VMABenchtime != "" &&
-		oldRep.VMABenchtime != newRep.VMABenchtime {
-		if !force {
-			fmt.Fprintf(os.Stderr, "benchreport: refusing to diff: vma benchtime %s (%s) vs %s (%s); -force overrides\n",
-				oldRep.VMABenchtime, oldPath, newRep.VMABenchtime, newPath)
-			return 2
-		}
-		fmt.Printf("WARNING: comparing across vma benchtime %s vs %s (-force)\n",
-			oldRep.VMABenchtime, newRep.VMABenchtime)
 	}
 	if oldRep.PrecopyBenchtime != "" && newRep.PrecopyBenchtime != "" &&
 		oldRep.PrecopyBenchtime != newRep.PrecopyBenchtime {
@@ -568,24 +503,6 @@ func diffReports(oldPath, newPath string, threshold float64, force bool) int {
 	for _, key := range sortedKeys(oldRep.Lifecycle, newRep.Lifecycle) {
 		o, n := oldRep.Lifecycle[key], newRep.Lifecycle[key]
 		name := "lifecycle/" + key
-		switch {
-		case o == nil:
-			fmt.Printf("%-34s %12s %12.2f %9s\n", name, "-", n.FastNs, "new")
-		case n == nil:
-			fmt.Printf("%-34s %12.2f %12s %9s\n", name, o.FastNs, "-", "gone")
-		default:
-			mark := ""
-			if threshold > 0 && n.FastNs > o.FastNs*threshold {
-				mark = "  REGRESSION"
-				regressed++
-			}
-			fmt.Printf("%-34s %12.2f %12.2f %8.2fx%s\n", name,
-				o.FastNs, n.FastNs, o.FastNs/n.FastNs, mark)
-		}
-	}
-	for _, key := range sortedKeys(oldRep.VMA, newRep.VMA) {
-		o, n := oldRep.VMA[key], newRep.VMA[key]
-		name := "vma/" + key
 		switch {
 		case o == nil:
 			fmt.Printf("%-34s %12s %12.2f %9s\n", name, "-", n.FastNs, "new")

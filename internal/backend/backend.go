@@ -491,41 +491,6 @@ func (g *Guest) FlushRange(p *guest.Process, pages int) {
 	g.mmu.flushRange(p, pages)
 }
 
-// BeginRangedMutation implements guest.Platform: it opens the ranged
-// VMA-mutation bracket, under which the shadow strategies' PTE-store hooks
-// (spt and write-protected pvm — the only hooks that zap the TLB) defer
-// their per-page zaps. Charges, gates, counters, and traces are untouched:
-// only the host-side moment this process's private TLB entries disappear
-// moves, and nothing reads that TLB before End's zaps complete — the vCPU
-// owning it is inside the mutation sweep.
-func (g *Guest) BeginRangedMutation(p *guest.Process) {
-	pd(p).vmaDefer = true
-}
-
-// EndRangedMutation implements guest.Platform: it closes the bracket and
-// replays the deferred zaps as one tlb.ZapRange per contiguous run of
-// affected pages. The hooks record VAs in ascending order (the structural
-// sweeps store in reference order), so coalescing is one linear pass.
-func (g *Guest) EndRangedMutation(p *guest.Process) {
-	d := pd(p)
-	d.vmaDefer = false
-	zaps := d.vmaZap
-	if len(zaps) == 0 {
-		return
-	}
-	run, n := zaps[0], 1
-	for _, va := range zaps[1:] {
-		if va == run+arch.VA(n)*arch.PageSize {
-			n++
-			continue
-		}
-		d.tlb.ZapRange(g.VPID, d.pcidUser, run, n)
-		run, n = va, 1
-	}
-	d.tlb.ZapRange(g.VPID, d.pcidUser, run, n)
-	d.vmaZap = zaps[:0]
-}
-
 // Access implements guest.Platform.
 func (g *Guest) Access(p *guest.Process, va arch.VA, write bool) {
 	g.mmu.access(p, va, write)
@@ -647,13 +612,6 @@ type procData struct {
 	// guest PTE updates logged without trapping, replayed by PVM at the
 	// next synchronization point. Owned by the process's vCPU.
 	syncLog []pagetable.WriteEvent
-
-	// vmaDefer, set between Begin/EndRangedMutation, makes the PTE-store
-	// hooks record each per-page TLB zap's VA in vmaZap instead of issuing
-	// it; End replays them as coalesced ranged zaps. Owned by the
-	// process's vCPU (the bracket only spans its own mutation sweep).
-	vmaDefer bool
-	vmaZap   []arch.VA
 
 	// dirty is the dirty-page logging epoch state (dirtylog.go). Nil
 	// until the first StartDirtyLog; dies with the procData on exec.

@@ -79,21 +79,10 @@ func (s *dirtyState) take() []arch.VA {
 
 // dirtyLogged is the dirty-log arming predicate: user-space guest mappings
 // only, skipping hypervisor state (the switcher's global kernel-half pages).
+// The write-protect lanes' arming sweeps pass it to WriteProtectLeaves on
+// the shadow or machine table and charge per leaf protected.
 func dirtyLogged(va arch.VA, e pagetable.Entry) bool {
 	return !e.Flags.Has(pagetable.Global) && va < arch.KernelSpaceStart
-}
-
-// dirtySweep write-protects every logged leaf of pt. The swept tables are
-// the shadow/machine tables the hardware walks — never hooked — so the
-// batched one-pass sweep applies; the per-leaf reference sweep is retained
-// behind the VMA bypass for the equivalence grids (both strip the same
-// leaves in the same order with the same stats; see WriteProtectLeavesBulk).
-// Returns the number of leaves protected: the arming sweep's charge unit.
-func dirtySweep(pt *pagetable.PageTable) int {
-	if guest.VMABypass() {
-		return pt.WriteProtectLeaves(dirtyLogged)
-	}
-	return pt.WriteProtectLeavesBulk(dirtyLogged)
 }
 
 // dirtyRecordShadow records one write in a shadow lane. Called at the top of

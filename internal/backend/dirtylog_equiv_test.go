@@ -202,34 +202,13 @@ func TestDirtyLogEquivalence(t *testing.T) {
 	}
 }
 
-// TestDirtyLogEquivalenceAblations re-runs the grid under the option
-// variants that pick different MMU strategies or fault choreographies —
+// TestDirtyLogEquivalenceAblations re-runs the grid under each ablation —
 // including the fifth backend (direct paging) and 2 MiB EPT backing (the
-// large-page cell: guest tables stay 4 KiB, the host lane changes).
+// large-page cells: guest tables stay 4 KiB, the host lane changes).
 func TestDirtyLogEquivalenceAblations(t *testing.T) {
-	mk := func(mut func(o *backend.Options)) backend.Options {
-		o := backend.DefaultOptions()
-		mut(&o)
-		return o
-	}
-	variants := []struct {
-		name string
-		cfg  backend.Config
-		opt  backend.Options
-	}{
-		{"pvm-direct-bm", backend.PVMBM, mk(func(o *backend.Options) { o.DirectPaging = true })},
-		{"pvm-direct-nst", backend.PVMNST, mk(func(o *backend.Options) { o.DirectPaging = true })},
-		{"no-prefault", backend.PVMNST, mk(func(o *backend.Options) { o.Prefault = false })},
-		{"no-pcidmap", backend.PVMNST, mk(func(o *backend.Options) { o.PCIDMap = false })},
-		{"collab-sync", backend.PVMNST, mk(func(o *backend.Options) { o.CollaborativeSync = true })},
-		{"switcher-classify", backend.PVMNST, mk(func(o *backend.Options) { o.SwitcherFaultClassify = true })},
-		{"coarse-lock", backend.PVMNST, mk(func(o *backend.Options) { o.FineLock = false })},
-		{"hugepages-ept", backend.KVMEPTBM, mk(func(o *backend.Options) { o.HugePagesEPT = true })},
-		{"no-kpti", backend.KVMSPTBM, mk(func(o *backend.Options) { o.KPTI = false })},
-	}
 	for _, wl := range dirtyWorkloads {
 		refSets, _ := runDirtyLog(t, backend.KVMEPTBM, backend.DefaultOptions(), wl.body, false)
-		for _, v := range variants {
+		for _, v := range ablations {
 			t.Run(fmt.Sprintf("%s/%s", v.name, wl.name), func(t *testing.T) {
 				sets, ad := runDirtyLog(t, v.cfg, v.opt, wl.body, pmlLane(v.cfg))
 				if d := vaSetsEqual(sets, refSets); d != "" {

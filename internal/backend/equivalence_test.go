@@ -32,7 +32,12 @@ func touchByPage(p *guest.Process, va arch.VA, pages int, write bool) {
 // equivWorkloads are single-process workloads exercising the access paths
 // that differ across backends: faulting, resident re-touch with TLB
 // evictions (stream is larger than the 1536-entry TLB), COW breaks,
-// protection faults, and munmap/refault cycles.
+// protection faults, and munmap/refault cycles. The last five stress the
+// VMA mutations between touches: mprotect storms (permission flips over
+// whole areas, each store trapping under shadow paging), partial munmaps
+// that shrink and split areas, munmap-refault cycles, mutation ranges
+// straddling 2 MiB leaf-table boundaries with sparse residency, and
+// dirty-log epochs whose arming sweeps write-protect the shadow tables.
 var equivWorkloads = []struct {
 	name string
 	body func(p *guest.Process, touch touchFn)
@@ -84,6 +89,90 @@ var equivWorkloads = []struct {
 			}
 		}
 	}},
+	{"mprotect-storm", func(p *guest.Process, touch touchFn) {
+		const n = 600 // > 1 leaf table
+		base := p.Mmap(n)
+		touch(p, base, n, true)
+		for round := 0; round < 3; round++ {
+			if err := p.Mprotect(base, n, false); err != nil {
+				panic(err)
+			}
+			touch(p, base, n/2, false)
+			if err := p.Mprotect(base, n, true); err != nil {
+				panic(err)
+			}
+			touch(p, base, n/4, true) // re-dirty a prefix
+		}
+	}},
+	{"partial-munmap", func(p *guest.Process, touch touchFn) {
+		const n = 520
+		base := p.Mmap(n)
+		touch(p, base, n, true)
+		// Middle cut splits the area; head/tail cuts shrink the remnants.
+		if err := p.Munmap(base+100*arch.PageSize, 300); err != nil {
+			panic(err)
+		}
+		touch(p, base, 100, true)
+		if err := p.Munmap(base, 60); err != nil {
+			panic(err)
+		}
+		if err := p.Munmap(base+460*arch.PageSize, 60); err != nil {
+			panic(err)
+		}
+		touch(p, base+60*arch.PageSize, 40, false)
+	}},
+	{"munmap-refault", func(p *guest.Process, touch touchFn) {
+		for round := 0; round < 3; round++ {
+			base := p.Mmap(256)
+			touch(p, base, 256, true)
+			touch(p, base, 256, false)
+			if err := p.Munmap(base, 256); err != nil {
+				panic(err)
+			}
+			// The next area reuses freed frames; refault the whole path.
+			b2 := p.Mmap(256)
+			touch(p, b2, 128, true)
+			if err := p.Munmap(b2, 256); err != nil {
+				panic(err)
+			}
+		}
+	}},
+	{"large-page-boundary", func(p *guest.Process, touch touchFn) {
+		// One area spanning several 2 MiB leaf tables, sparsely resident
+		// (only every other 128-page stripe touched), mutated over ranges
+		// whose ends land mid-table: the sweeps cross leaf-table
+		// boundaries and skip the unpopulated stripes.
+		const n = 1536
+		base := p.Mmap(n)
+		for s := 0; s < n; s += 256 {
+			touch(p, base+arch.VA(s)*arch.PageSize, 128, true)
+		}
+		if err := p.Mprotect(base, n, false); err != nil {
+			panic(err)
+		}
+		if err := p.Mprotect(base, n, true); err != nil {
+			panic(err)
+		}
+		if err := p.Munmap(base+300*arch.PageSize, 700); err != nil {
+			panic(err)
+		}
+		touch(p, base, 128, true)
+	}},
+	{"dirty-log-epoch", func(p *guest.Process, touch touchFn) {
+		const n = 300
+		base := p.Mmap(n)
+		touch(p, base, n, true)
+		p.StartDirtyLog() // arming sweep: write-protects every logged leaf
+		touch(p, base, n/2, true)
+		p.CollectDirty() // epoch re-arm: another sweep
+		touch(p, base+arch.VA(n/2)*arch.PageSize, n/2, true)
+		if err := p.Munmap(base+arch.VA(n/4)*arch.PageSize, n/4); err != nil {
+			panic(err)
+		}
+		p.CollectDirty()
+		p.StopDirtyLog()
+		touch(p, base, n/4, true)
+	}},
 }
 
 func observe(t *testing.T, cfg backend.Config, opt backend.Options, body func(p *guest.Process, touch touchFn), touch touchFn) check.Observation {
@@ -128,31 +217,42 @@ func TestRangedAccessEquivalence(t *testing.T) {
 	}
 }
 
-// TestRangedAccessEquivalenceAblations covers the option variants that pick
-// different MMU strategies or fault choreographies: direct paging (the fifth
-// MMU), prefault off, PCID mapping off, collaborative sync, switcher fault
-// classification, coarse locking.
+// ablations are the option variants every backend equivalence grid reruns
+// its workloads under: the ones that pick a different MMU strategy, fault
+// choreography, PTE-store trap or flush. Direct paging (the fifth MMU: lazy
+// charges plus a sync log instead of per-store traps) and huge-page EPT
+// backing (guest tables stay 4 KiB, the host lane changes) run on both
+// hosts; then prefault off, PCID mapping off (whole-VPID shootdowns),
+// collaborative sync, switcher fault classification, coarse locking, and
+// KPTI off.
+var ablations = []struct {
+	name string
+	cfg  backend.Config
+	opt  backend.Options
+}{
+	{"pvm-direct-bm", backend.PVMBM, withOptions(func(o *backend.Options) { o.DirectPaging = true })},
+	{"pvm-direct-nst", backend.PVMNST, withOptions(func(o *backend.Options) { o.DirectPaging = true })},
+	{"no-prefault", backend.PVMNST, withOptions(func(o *backend.Options) { o.Prefault = false })},
+	{"no-pcidmap", backend.PVMNST, withOptions(func(o *backend.Options) { o.PCIDMap = false })},
+	{"collab-sync", backend.PVMNST, withOptions(func(o *backend.Options) { o.CollaborativeSync = true })},
+	{"switcher-classify", backend.PVMNST, withOptions(func(o *backend.Options) { o.SwitcherFaultClassify = true })},
+	{"coarse-lock", backend.PVMNST, withOptions(func(o *backend.Options) { o.FineLock = false })},
+	{"hugepages-ept", backend.KVMEPTNST, withOptions(func(o *backend.Options) { o.HugePagesEPT = true })},
+	{"hugepages-ept-bm", backend.KVMEPTBM, withOptions(func(o *backend.Options) { o.HugePagesEPT = true })},
+	{"no-kpti", backend.KVMSPTBM, withOptions(func(o *backend.Options) { o.KPTI = false })},
+}
+
+// withOptions returns the default options with mut applied.
+func withOptions(mut func(o *backend.Options)) backend.Options {
+	o := backend.DefaultOptions()
+	mut(&o)
+	return o
+}
+
+// TestRangedAccessEquivalenceAblations reruns every workload under each
+// ablation with the batched and per-page touch paths.
 func TestRangedAccessEquivalenceAblations(t *testing.T) {
-	mk := func(mut func(o *backend.Options)) backend.Options {
-		o := backend.DefaultOptions()
-		mut(&o)
-		return o
-	}
-	variants := []struct {
-		name string
-		cfg  backend.Config
-		opt  backend.Options
-	}{
-		{"pvm-direct-bm", backend.PVMBM, mk(func(o *backend.Options) { o.DirectPaging = true })},
-		{"pvm-direct-nst", backend.PVMNST, mk(func(o *backend.Options) { o.DirectPaging = true })},
-		{"no-prefault", backend.PVMNST, mk(func(o *backend.Options) { o.Prefault = false })},
-		{"no-pcidmap", backend.PVMNST, mk(func(o *backend.Options) { o.PCIDMap = false })},
-		{"collab-sync", backend.PVMNST, mk(func(o *backend.Options) { o.CollaborativeSync = true })},
-		{"switcher-classify", backend.PVMNST, mk(func(o *backend.Options) { o.SwitcherFaultClassify = true })},
-		{"coarse-lock", backend.PVMNST, mk(func(o *backend.Options) { o.FineLock = false })},
-		{"no-kpti", backend.KVMSPTBM, mk(func(o *backend.Options) { o.KPTI = false })},
-	}
-	for _, v := range variants {
+	for _, v := range ablations {
 		for _, wl := range equivWorkloads {
 			cell := fmt.Sprintf("%s/%s", v.name, wl.name)
 			t.Run(cell, func(t *testing.T) {
@@ -169,8 +269,11 @@ func TestRangedAccessEquivalenceAblations(t *testing.T) {
 // TestRangedAccessEquivalenceMultiProc checks the batched path under
 // concurrent vCPUs, where lock hold times and shootdowns couple the clocks:
 // any divergence in one vCPU's charging would shift the global makespan.
+// Each backend runs map/touch/unmap rounds, then, as the contended-vma
+// subtest, mprotect and partial-munmap rounds whose PTE-store traps hold
+// the mmu locks.
 func TestRangedAccessEquivalenceMultiProc(t *testing.T) {
-	run := func(cfg backend.Config, touch touchFn) check.Observation {
+	run := func(t *testing.T, cfg backend.Config, touch touchFn, body func(p *guest.Process, touch touchFn)) check.Observation {
 		opt := backend.DefaultOptions()
 		opt.TraceEvents = 1 << 15
 		s := backend.NewSystem(cfg, opt)
@@ -180,16 +283,7 @@ func TestRangedAccessEquivalenceMultiProc(t *testing.T) {
 		}
 		release := s.Eng.Hold()
 		for i := 0; i < 4; i++ {
-			g.Run(0, 8, func(p *guest.Process) {
-				for round := 0; round < 3; round++ {
-					base := p.Mmap(128)
-					touch(p, base, 128, true)
-					touch(p, base, 128, false)
-					if err := p.Munmap(base, 128); err != nil {
-						panic(err)
-					}
-				}
-			})
+			g.Run(0, 8, func(p *guest.Process) { body(p, touch) })
 		}
 		release()
 		s.Eng.Wait()
@@ -198,13 +292,49 @@ func TestRangedAccessEquivalenceMultiProc(t *testing.T) {
 		}
 		return check.Capture(s)
 	}
+	compare := func(t *testing.T, cfg backend.Config, body func(p *guest.Process, touch touchFn)) {
+		ranged := run(t, cfg, touchRanged, body)
+		byPage := run(t, cfg, touchByPage, body)
+		if d := check.Diff(ranged, byPage); d != "" {
+			t.Errorf("%v: ranged vs per-page diverged: %s", cfg, d)
+		}
+	}
+	mapTouchUnmap := func(p *guest.Process, touch touchFn) {
+		for round := 0; round < 3; round++ {
+			base := p.Mmap(128)
+			touch(p, base, 128, true)
+			touch(p, base, 128, false)
+			if err := p.Munmap(base, 128); err != nil {
+				panic(err)
+			}
+		}
+	}
+	contendedVMA := func(p *guest.Process, touch touchFn) {
+		for round := 0; round < 2; round++ {
+			base := p.Mmap(160)
+			touch(p, base, 160, true)
+			if err := p.Mprotect(base, 160, false); err != nil {
+				panic(err)
+			}
+			if err := p.Mprotect(base, 160, true); err != nil {
+				panic(err)
+			}
+			if err := p.Munmap(base+40*arch.PageSize, 80); err != nil {
+				panic(err)
+			}
+			touch(p, base, 40, true)
+			if err := p.Munmap(base, 40); err != nil {
+				panic(err)
+			}
+			if err := p.Munmap(base+120*arch.PageSize, 40); err != nil {
+				panic(err)
+			}
+		}
+	}
 	for _, cfg := range backend.Configs() {
 		t.Run(cfg.String(), func(t *testing.T) {
-			ranged := run(cfg, touchRanged)
-			byPage := run(cfg, touchByPage)
-			if d := check.Diff(ranged, byPage); d != "" {
-				t.Errorf("%v: ranged vs per-page diverged: %s", cfg, d)
-			}
+			compare(t, cfg, mapTouchUnmap)
+			t.Run("contended-vma", func(t *testing.T) { compare(t, cfg, contendedVMA) })
 		})
 	}
 }

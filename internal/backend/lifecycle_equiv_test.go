@@ -170,31 +170,10 @@ func TestForkTeardownEquivalence(t *testing.T) {
 	}
 }
 
-// TestForkTeardownEquivalenceAblations covers the option variants with
-// distinct PTE-store trap and flush choreographies: direct paging (lazy
-// charges plus a sync log instead of per-store traps), collaborative sync
-// (lazy shadow sync log), huge-page EPT backing, PCID mapping off (full
-// shootdown on fork's flush), coarse locking, and KPTI off.
+// TestForkTeardownEquivalenceAblations reruns every lifecycle workload under
+// each ablation with the structural fast lane and the per-leaf reference.
 func TestForkTeardownEquivalenceAblations(t *testing.T) {
-	mk := func(mut func(o *backend.Options)) backend.Options {
-		o := backend.DefaultOptions()
-		mut(&o)
-		return o
-	}
-	variants := []struct {
-		name string
-		cfg  backend.Config
-		opt  backend.Options
-	}{
-		{"pvm-direct-bm", backend.PVMBM, mk(func(o *backend.Options) { o.DirectPaging = true })},
-		{"pvm-direct-nst", backend.PVMNST, mk(func(o *backend.Options) { o.DirectPaging = true })},
-		{"collab-sync", backend.PVMNST, mk(func(o *backend.Options) { o.CollaborativeSync = true })},
-		{"hugepages-ept", backend.KVMEPTNST, mk(func(o *backend.Options) { o.HugePagesEPT = true })},
-		{"no-pcidmap", backend.PVMNST, mk(func(o *backend.Options) { o.PCIDMap = false })},
-		{"coarse-lock", backend.PVMNST, mk(func(o *backend.Options) { o.FineLock = false })},
-		{"no-kpti", backend.KVMSPTBM, mk(func(o *backend.Options) { o.KPTI = false })},
-	}
-	for _, v := range variants {
+	for _, v := range ablations {
 		for _, wl := range lifecycleWorkloads {
 			cell := fmt.Sprintf("%s/%s", v.name, wl.name)
 			t.Run(cell, func(t *testing.T) {

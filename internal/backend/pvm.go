@@ -157,11 +157,7 @@ func (m *pvmMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 		})
 	}
 	if ev.Leaf {
-		if d.vmaDefer {
-			d.vmaZap = append(d.vmaZap, ev.VA)
-		} else {
-			d.tlb.FlushPage(g.VPID, d.pcidUser, ev.VA)
-		}
+		d.tlb.FlushPage(g.VPID, d.pcidUser, ev.VA)
 	}
 	m.enter(p, true)
 }
@@ -365,7 +361,7 @@ func (m *pvmMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		sweep: func() {
 			// Write-protects leaves of the process's own shadow table.
 			lock.WithPrivate(c, 0, func() {
-				n := dirtySweep(d.sptUser)
+				n := d.sptUser.WriteProtectLeaves(dirtyLogged)
 				c.AdvanceLazy(int64(n) * prm.DirtyLogProtect)
 			})
 		},

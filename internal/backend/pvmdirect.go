@@ -308,7 +308,7 @@ func (m *pvmDirectMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		sweep: func() {
 			// Write-protects leaves of the process's own machine table.
 			lock.WithPrivate(c, 0, func() {
-				n := dirtySweep(d.sptUser)
+				n := d.sptUser.WriteProtectLeaves(dirtyLogged)
 				c.AdvanceLazy(int64(n) * prm.DirtyLogProtect)
 			})
 		},

@@ -147,11 +147,7 @@ func (m *sptMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 		}
 	})
 	if ev.Leaf {
-		if d.vmaDefer {
-			d.vmaZap = append(d.vmaZap, ev.VA)
-		} else {
-			d.tlb.FlushPage(g.VPID, d.pcidUser, ev.VA)
-		}
+		d.tlb.FlushPage(g.VPID, d.pcidUser, ev.VA)
 	}
 	m.entry(c, p)
 }
@@ -338,7 +334,7 @@ func (m *sptMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		sweep: func() {
 			// Write-protects leaves of the process's own shadow table.
 			m.mmuLock.WithPrivate(c, 0, func() {
-				n := dirtySweep(d.sptUser)
+				n := d.sptUser.WriteProtectLeaves(dirtyLogged)
 				c.AdvanceLazy(m.hold(int64(n) * prm.DirtyLogProtect))
 			})
 		},

@@ -120,15 +120,3 @@ func lifecycleBypassOn(on bool, fn func()) {
 	}
 	fn()
 }
-
-// vmaBypassOn applies the guest ranged-mutation bypass (per-page munmap and
-// mprotect loops, per-leaf dirty-log arming sweeps instead of the structural
-// fast lane) for the duration of fn, under the same serialization contract
-// as cursorBypassOn.
-func vmaBypassOn(on bool, fn func()) {
-	if on {
-		guest.SetVMABypass(true)
-		defer guest.SetVMABypass(false)
-	}
-	fn()
-}

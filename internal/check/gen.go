@@ -190,9 +190,9 @@ func genOps(r *rng, n, depth int) []Op {
 				Write: r.chance(50),
 			})
 		case w < 58:
-			// Munmap and mprotect carry more weight since PR 10 so the
-			// fuzz window keeps the ranged-mutation fast lane hot; Off/Len
-			// select the partial unmap range (Len%4 == 0 → whole region).
+			// Munmap and mprotect carry extra weight so the fuzz window
+			// keeps the per-page mutation sweeps hot; Off/Len select the
+			// partial unmap range (Len%4 == 0 → whole region).
 			ops = append(ops, Op{
 				Kind: OpMunmap, Sel: r.intn(1 << 16), Off: r.intn(1 << 16),
 				Len: r.intn(1 << 16),

@@ -23,7 +23,6 @@ type Variant struct {
 	CursorBypass bool // pagetable Mapper/Reader span caches off
 	Eager        bool // fused cost charging off: every lazy charge gates immediately
 	LifecycleOff bool // fork/exec/exit structural fast lane off: per-leaf reference paths
-	VMAOff       bool // munmap/mprotect/dirty-arm structural fast lane off: per-page reference loops
 
 	// Fault injections, applied at every generated checkpoint.
 	RevokeSolo   bool // force a solo-bypass revocation
@@ -49,9 +48,8 @@ func Variants() []Variant {
 		{Name: "spurious-sync", SpuriousSync: true},
 		{Name: "lifecycle-off", LifecycleOff: true},
 		{Name: "dirtylog-on", DirtyLog: true},
-		{Name: "vma-off", VMAOff: true},
 		{Name: "everything", ByPage: true, SoloOff: true, CursorBypass: true,
-			Eager: true, LifecycleOff: true, VMAOff: true,
+			Eager: true, LifecycleOff: true,
 			RevokeSolo: true, SpuriousSync: true},
 	}
 }
@@ -129,9 +127,7 @@ func runVariant(p *Program, v Variant, inspect func(*backend.System)) (Observati
 		}
 	}
 	cursorBypassOn(v.CursorBypass, func() {
-		lifecycleBypassOn(v.LifecycleOff, func() {
-			vmaBypassOn(v.VMAOff, body)
-		})
+		lifecycleBypassOn(v.LifecycleOff, body)
 	})
 	return o, runErr
 }

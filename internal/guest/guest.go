@@ -80,17 +80,6 @@ type Platform interface {
 	// single PCID-targeted flush.
 	FlushRange(p *Process, pages int)
 
-	// BeginRangedMutation / EndRangedMutation bracket one ranged VMA
-	// mutation sweep (the structural munmap/mprotect lanes). Between
-	// them the platform may defer the per-page TLB zaps its PTE-store
-	// hooks would issue, coalescing them at End into ranged zaps over
-	// the affected runs — an mmu_gather-style batching that changes no
-	// virtual-time charge, gate, counter, or trace. End is called before
-	// the mutation's FlushRange. The bracket must nest trivially: one
-	// mutation at a time per process.
-	BeginRangedMutation(p *Process)
-	EndRangedMutation(p *Process)
-
 	// SyscallRoundTrip charges a guest user→kernel→user transition plus
 	// the in-kernel body cost.
 	SyscallRoundTrip(p *Process, body int64)

@@ -58,9 +58,6 @@ func (f *fakePlatform) FlushRange(p *Process, pages int) {
 	f.flushes++
 }
 
-func (f *fakePlatform) BeginRangedMutation(p *Process) {}
-func (f *fakePlatform) EndRangedMutation(p *Process)   {}
-
 func (f *fakePlatform) StartDirtyLog(p *Process)          {}
 func (f *fakePlatform) CollectDirty(p *Process) []arch.VA { return nil }
 func (f *fakePlatform) StopDirtyLog(p *Process)           {}
@@ -612,11 +609,12 @@ func TestForkUnwindSharedFrames(t *testing.T) {
 // TestMunmapUnwindLeaksNothing sweeps allocator limits so demand population
 // of an area aborts at every stage — mid-leaf-table, at a leaf-table
 // boundary (where the fault's own table-frame allocation fails), deep into
-// the second table — and then munmaps the partially populated area in both
-// lanes. Whatever the population managed to build, the unmap must release
-// exactly the present frames (whole-area and split/shrink cuts alike), and
-// process exit must return the allocator to empty: no leaked frames, no
-// stray refcounts, in the structural fast lane and the per-page reference.
+// the second table — and then munmaps the partially populated area.
+// Whatever the population managed to build, the unmap must release exactly
+// the present frames (whole-area and split/shrink cuts alike), and process
+// exit must return the allocator to empty: no leaked frames, no stray
+// refcounts. The subtest is named for the munmap lane it drives: the loop
+// that unmaps one page at a time.
 func TestMunmapUnwindLeaksNothing(t *testing.T) {
 	const imagePages = 8
 	const areaPages = 600 // spans two leaf tables
@@ -632,74 +630,65 @@ func TestMunmapUnwindLeaksNothing(t *testing.T) {
 		p.Mmap(areaPages)
 		inUse = base.GPA.InUse()
 	})
-	for _, lane := range []struct {
-		name    string
-		perPage bool
-	}{{"structural", false}, {"per-page", true}} {
-		t.Run(lane.name, func(t *testing.T) {
-			if lane.perPage {
-				SetVMABypass(true)
-				defer SetVMABypass(false)
-			}
-			aborted := false
-			for extra := int64(0); extra <= 8; extra++ {
-				k, _ := newLimitedKernel(inUse + extra)
-				run(k, func(c *vclock.CPU) {
-					p, err := k.StartProcess(c, imagePages)
-					if err != nil {
-						t.Errorf("extra=%d: StartProcess: %v", extra, err)
-						return
+	t.Run("per-page", func(t *testing.T) {
+		aborted := false
+		for extra := int64(0); extra <= 8; extra++ {
+			k, _ := newLimitedKernel(inUse + extra)
+			run(k, func(c *vclock.CPU) {
+				p, err := k.StartProcess(c, imagePages)
+				if err != nil {
+					t.Errorf("extra=%d: StartProcess: %v", extra, err)
+					return
+				}
+				area := p.Mmap(areaPages)
+				faulted := 0
+				for i := 0; i < areaPages; i++ {
+					if _, err := k.HandleFault(p, area+arch.VA(i)*arch.PageSize, true); err != nil {
+						aborted = true
+						break
 					}
-					area := p.Mmap(areaPages)
-					faulted := 0
-					for i := 0; i < areaPages; i++ {
-						if _, err := k.HandleFault(p, area+arch.VA(i)*arch.PageSize, true); err != nil {
-							aborted = true
-							break
-						}
-						faulted++
+					faulted++
+				}
+				populated := k.GPA.InUse()
+				// A middle cut first (split/shrink bookkeeping over the
+				// half-built area), then the remnants.
+				cut, cutPages := area+150*arch.PageSize, 300
+				freedByCut := 0
+				for i := 0; i < cutPages; i++ {
+					if _, ok := p.GPT.Lookup(cut + arch.VA(i)*arch.PageSize); ok {
+						freedByCut++
 					}
-					populated := k.GPA.InUse()
-					// A middle cut first (split/shrink bookkeeping over the
-					// half-built area), then the remnants.
-					cut, cutPages := area+150*arch.PageSize, 300
-					freedByCut := 0
-					for i := 0; i < cutPages; i++ {
-						if _, ok := p.GPT.Lookup(cut + arch.VA(i)*arch.PageSize); ok {
-							freedByCut++
-						}
-					}
-					if err := p.Munmap(cut, cutPages); err != nil {
-						t.Errorf("extra=%d: middle munmap: %v", extra, err)
-						return
-					}
-					if got, want := k.GPA.InUse(), populated-int64(freedByCut); got != want {
-						t.Errorf("extra=%d: InUse %d after middle cut, want %d", extra, got, want)
-					}
-					if err := p.Munmap(area, 150); err != nil {
-						t.Errorf("extra=%d: head munmap: %v", extra, err)
-						return
-					}
-					if err := p.Munmap(area+450*arch.PageSize, 150); err != nil {
-						t.Errorf("extra=%d: tail munmap: %v", extra, err)
-						return
-					}
-					if got, want := k.GPA.InUse(), populated-int64(faulted); got != want {
-						t.Errorf("extra=%d: InUse %d after full unmap, want %d (faulted %d)",
-							extra, got, want, faulted)
-					}
-					if err := p.Exit(); err != nil {
-						t.Errorf("extra=%d: exit: %v", extra, err)
-						return
-					}
-					if leftover := k.GPA.InUse(); leftover != 0 {
-						t.Errorf("extra=%d: %d frames leaked after exit", extra, leftover)
-					}
-				})
-			}
-			if !aborted {
-				t.Fatal("no population in the limit sweep aborted; regression test is vacuous")
-			}
-		})
-	}
+				}
+				if err := p.Munmap(cut, cutPages); err != nil {
+					t.Errorf("extra=%d: middle munmap: %v", extra, err)
+					return
+				}
+				if got, want := k.GPA.InUse(), populated-int64(freedByCut); got != want {
+					t.Errorf("extra=%d: InUse %d after middle cut, want %d", extra, got, want)
+				}
+				if err := p.Munmap(area, 150); err != nil {
+					t.Errorf("extra=%d: head munmap: %v", extra, err)
+					return
+				}
+				if err := p.Munmap(area+450*arch.PageSize, 150); err != nil {
+					t.Errorf("extra=%d: tail munmap: %v", extra, err)
+					return
+				}
+				if got, want := k.GPA.InUse(), populated-int64(faulted); got != want {
+					t.Errorf("extra=%d: InUse %d after full unmap, want %d (faulted %d)",
+						extra, got, want, faulted)
+				}
+				if err := p.Exit(); err != nil {
+					t.Errorf("extra=%d: exit: %v", extra, err)
+					return
+				}
+				if leftover := k.GPA.InUse(); leftover != 0 {
+					t.Errorf("extra=%d: %d frames leaked after exit", extra, leftover)
+				}
+			})
+		}
+		if !aborted {
+			t.Fatal("no population in the limit sweep aborted; regression test is vacuous")
+		}
+	})
 }

@@ -1,52 +1,17 @@
-// Ranged VMA-mutation fast lane: munmap and mprotect rebuilt on the
-// structural pagetable primitives (UnmapRange, ProtectRange) with batched
-// refcounting (mem.FreeKeepLast/FreeBatch/RefCountBatch) and platform-side
-// TLB-zap coalescing (Platform.Begin/EndRangedMutation), with the per-page
-// reference loops retained for the equivalence grids. Both lanes charge
-// identical virtual time at identical points — one PTEWrite ahead of each
-// affected PTE store, which traps under shadow paging in reference order —
-// so the schedules, metrics, and trace digests are bit-identical
-// (TestVMAMutationEquivalence, pvmfuzz vma-off variant). The same
-// early-decrement / late-free argument as PR 8's teardownSubtree applies to
-// the batched refcounting: counts are only read by the owning process
-// family, which shares a vCPU, and the per-page ReleasePage calls — the
-// stores that gate and charge — keep the reference's ascending VA order.
 package guest
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/pagetable"
 )
 
-// vmaBypass, when set, routes Munmap and Mprotect through the retained
-// per-page reference loops. Like the lifecycle bypass, it is package-global
-// test plumbing read without synchronization: it must only change while no
-// simulation is running.
-var vmaBypass bool
-
-// SetVMABypass disables (on=true) or restores (on=false) the structural
-// munmap/mprotect fast lane and the platforms' batched dirty-log arming
-// sweep. Must not be toggled while a simulation is running.
-func SetVMABypass(on bool) { vmaBypass = on }
-
-// VMABypass reports whether the ranged VMA-mutation fast lane is bypassed.
-// Platforms consult it to pick between the batched and per-leaf dirty-log
-// arming sweeps.
-func VMABypass() bool { return vmaBypass }
-
-// vmaBufs are the per-run scratch buffers of the structural lanes, pooled
-// because concurrent vCPUs can mutate their address spaces simultaneously.
-type vmaBufs struct {
-	idx  [arch.EntriesPerTable]int
-	pfns [arch.EntriesPerTable]arch.PFN
-	rc   [arch.EntriesPerTable]int32
-}
-
-var vmaBufPool = sync.Pool{New: func() any { return new(vmaBufs) }}
+// This file holds the VMA mutations, munmap and mprotect. Each sweeps its
+// range one page at a time in ascending VA order, looking pages up through
+// the span-cached gptMapper, and charges one PTEWrite ahead of every PTE
+// store it makes: under shadow paging each such store traps (§3.3.2).
 
 // vmaIndex returns the index of the area containing va, or -1.
 func (p *Process) vmaIndex(va arch.VA) int {
@@ -92,13 +57,7 @@ func (p *Process) Munmap(base arch.VA, pages int) error {
 		return fmt.Errorf("guest: munmap range %#x (%d pages) escapes area [%#x, %#x)", base, pages, v.Start, v.End)
 	}
 	p.Syscall(mmapBody)
-	var err error
-	if vmaBypass {
-		err = p.munmapPerPage(base, end)
-	} else {
-		err = p.munmapStructural(base, pages)
-	}
-	if err != nil {
+	if err := p.munmapPerPage(base, end); err != nil {
 		return err
 	}
 	p.K.plat.FlushRange(p, pages)
@@ -106,10 +65,9 @@ func (p *Process) Munmap(base arch.VA, pages int) error {
 	return nil
 }
 
-// munmapPerPage is the per-page reference implementation of the unmap sweep:
-// one cursor lookup, one root-walked PTE clear (firing the platform's
-// PTE-store hook), one refcount read, and one frame free per present page.
-// The structural lane must be observationally indistinguishable from it.
+// munmapPerPage is the unmap sweep: one cursor lookup, one root-walked PTE
+// clear (firing the platform's PTE-store hook), one refcount read, and one
+// frame free per present page.
 func (p *Process) munmapPerPage(lo, hi arch.VA) error {
 	prm := p.K.plat.Params()
 	for va := lo; va < hi; va += arch.PageSize {
@@ -131,41 +89,6 @@ func (p *Process) munmapPerPage(lo, hi arch.VA) error {
 	return nil
 }
 
-// munmapStructural is the fast lane of the unmap sweep: one bounded walk of
-// the table tree via UnmapRange, each leaf run's refcounts handled with two
-// allocator lock acquisitions (FreeKeepLast, then FreeBatch once backing is
-// released) instead of two per page, under the platform's ranged-mutation
-// bracket so per-page TLB zaps coalesce. The PTE clears — the stores that
-// gate and charge — run in exactly the reference's ascending VA order.
-func (p *Process) munmapStructural(base arch.VA, pages int) error {
-	prm := p.K.plat.Params()
-	gpa := p.K.GPA
-	bufs := vmaBufPool.Get().(*vmaBufs)
-	defer vmaBufPool.Put(bufs)
-	p.K.plat.BeginRangedMutation(p)
-	defer p.K.plat.EndRangedMutation(p)
-	return p.GPT.UnmapRange(base, pages, pagetable.SkipLarge, func(vas []arch.VA, pfns []arch.PFN, clear func(i int)) error {
-		idx, err := gpa.FreeKeepLast(pfns, bufs.idx[:0])
-		if err != nil {
-			return err
-		}
-		last := bufs.pfns[:0]
-		k := 0
-		for i := range vas {
-			p.CPU.AdvanceLazy(prm.PTEWrite)
-			clear(i) // fires the platform's PTE-store hook
-			if k < len(idx) && idx[k] == i {
-				// Last reference: release the backing before the frame
-				// reaches the free list (see munmapPerPage).
-				p.K.plat.ReleasePage(p, vas[i], pfns[i])
-				last = append(last, pfns[i])
-				k++
-			}
-		}
-		return gpa.FreeBatch(last)
-	})
-}
-
 // Mprotect changes the protection of a previously mapped area (whole-area
 // granularity). Dropping write permission rewrites every present PTE (each
 // store traps under shadow paging) and issues one TLB range invalidation —
@@ -183,27 +106,16 @@ func (p *Process) Mprotect(base arch.VA, pages int, writable bool) error {
 	}
 	p.Syscall(mmapBody)
 	p.vmas[idx].Writable = writable
-	perm := p.vmas[idx].perm()
-	var changed int
-	var err error
-	if vmaBypass {
-		changed, err = p.mprotectPerPage(base, pages, writable, perm)
-	} else {
-		changed, err = p.mprotectStructural(base, pages, writable, perm)
-	}
-	if err != nil {
-		return err
-	}
-	if changed > 0 {
+	if changed := p.mprotectPerPage(base, pages, writable, p.vmas[idx].perm()); changed > 0 {
 		p.K.plat.FlushRange(p, changed)
 	}
 	return nil
 }
 
-// mprotectPerPage is the per-page reference implementation of the protect
-// sweep: one cursor lookup, the skip policy, and one cursor protect store
-// (firing the platform's PTE-store hook) per affected page.
-func (p *Process) mprotectPerPage(base arch.VA, pages int, writable bool, perm pagetable.Flags) (int, error) {
+// mprotectPerPage is the protect sweep: one cursor lookup, the skip
+// policy, and one cursor protect store (firing the platform's PTE-store
+// hook) per affected page. It returns the number of pages changed.
+func (p *Process) mprotectPerPage(base arch.VA, pages int, writable bool, perm pagetable.Flags) int {
 	prm := p.K.plat.Params()
 	changed := 0
 	for va := base; va < base+arch.VA(pages)*arch.PageSize; va += arch.PageSize {
@@ -223,45 +135,5 @@ func (p *Process) mprotectPerPage(base arch.VA, pages int, writable bool, perm p
 		p.gptMapper.Protect(va, perm)
 		changed++
 	}
-	return changed, nil
-}
-
-// mprotectStructural is the fast lane of the protect sweep: one bounded walk
-// via ProtectRange, each leaf run's COW refcount reads batched into one lock
-// acquisition, under the platform's ranged-mutation bracket. The protect
-// stores run in exactly the reference's ascending VA order with the same
-// skip policy.
-func (p *Process) mprotectStructural(base arch.VA, pages int, writable bool, perm pagetable.Flags) (int, error) {
-	prm := p.K.plat.Params()
-	bufs := vmaBufPool.Get().(*vmaBufs)
-	defer vmaBufPool.Put(bufs)
-	changed := 0
-	p.K.plat.BeginRangedMutation(p)
-	defer p.K.plat.EndRangedMutation(p)
-	err := p.GPT.ProtectRange(base, pages, pagetable.SkipLarge, func(vas []arch.VA, ents []pagetable.Entry, protect func(i int, flags pagetable.Flags)) error {
-		var rc []int32
-		if writable {
-			// The COW skip needs refcounts: read the run's in one step.
-			// Reads only — the counts are stable under us (see package doc).
-			pfns := bufs.pfns[:0]
-			for _, e := range ents {
-				pfns = append(pfns, e.PFN)
-			}
-			rc = bufs.rc[:len(ents)]
-			p.K.GPA.RefCountBatch(pfns, rc)
-		}
-		for i, e := range ents {
-			if e.Flags.Has(pagetable.Writable) == writable {
-				continue
-			}
-			if writable && rc[i] > 1 {
-				continue
-			}
-			p.CPU.AdvanceLazy(prm.PTEWrite)
-			protect(i, perm) // fires the platform's PTE-store hook
-			changed++
-		}
-		return nil
-	})
-	return changed, err
+	return changed
 }

@@ -223,23 +223,6 @@ func (a *Allocator) RefCount(pfn arch.PFN) int32 {
 	return 0
 }
 
-// RefCountBatch writes the reference count of each frame in pfns to the
-// corresponding slot of out (0 for frames the allocator never issued) under
-// one lock acquisition — the batched form of per-frame RefCount that ranged
-// mutation sweeps use to classify a run of frames in one step. out must be
-// at least len(pfns) long.
-func (a *Allocator) RefCountBatch(pfns []arch.PFN, out []int32) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, pfn := range pfns {
-		if j := a.idx(pfn); j >= 0 {
-			out[i] = a.refs[j]
-		} else {
-			out[i] = 0
-		}
-	}
-}
-
 // InUse returns the number of live frames.
 func (a *Allocator) InUse() int64 {
 	a.mu.Lock()

@@ -81,9 +81,9 @@ func linkVA(rng *rand.Rand) arch.VA {
 }
 
 // TestLinksUnderRandomOps runs random sequences of Map, MapLarge, Unmap,
-// UnmapLarge, Protect, UnmapRange and ProtectRange (splitting Large
-// leaves) and Clone, checking the link structure after every step. Data
-// frames are synthetic, so the table allocator holds table frames only.
+// UnmapLarge, Protect and Clone, checking the link structure after every
+// step. Data frames are synthetic, so the table allocator holds table
+// frames only.
 func TestLinksUnderRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -95,7 +95,7 @@ func TestLinksUnderRandomOps(t *testing.T) {
 		data := arch.PFN(1 << 30)
 		for step := 0; step < 1500; step++ {
 			va := linkVA(rng)
-			switch op := rng.Intn(9); op {
+			switch op := rng.Intn(7); op {
 			case 0, 1:
 				if _, large := pt.LookupLarge(va); !large {
 					data++
@@ -115,28 +115,6 @@ func TestLinksUnderRandomOps(t *testing.T) {
 			case 5:
 				pt.Protect(va, User)
 			case 6:
-				err := pt.UnmapRange(va, 1+rng.Intn(1024), SplitLarge, func(vas []arch.VA, _ []arch.PFN, clear func(int)) error {
-					for i := range vas {
-						if rng.Intn(2) == 0 {
-							clear(i)
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			case 7:
-				err := pt.ProtectRange(va, 1+rng.Intn(1024), SplitLarge, func(vas []arch.VA, _ []Entry, protect func(int, Flags)) error {
-					for i := range vas {
-						protect(i, User)
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			case 8:
 				dst, err := New(alloc)
 				if err != nil {
 					t.Fatal(err)

@@ -95,23 +95,6 @@ func (r *refTLB) flushPage(k Key) {
 	}
 }
 
-func (r *refTLB) zapRange(k Key, pages int) int {
-	if pages <= 0 {
-		return 0
-	}
-	r.stats.FlushPage += int64(pages)
-	n := 0
-	for p := 0; p < pages; p++ {
-		q := Key{VPID: k.VPID, PCID: k.PCID, VPN: k.VPN + uint64(p)}
-		if _, ok := r.ents[q]; ok {
-			r.drop(q)
-			n++
-		}
-	}
-	r.stats.FlushedEnts += int64(n)
-	return n
-}
-
 func (r *refTLB) flushWhere(pred func(Key, Entry) bool) int {
 	var victims []Key
 	for _, k := range r.lru {
@@ -168,8 +151,8 @@ func modelTags(capacity int, kind string) []Key {
 
 // TestTLBMatchesReferenceModel drives the TLB and the reference model
 // through long random schedules of every operation — Lookup, LookupRange,
-// Insert (hits, fills and evictions), FlushPage, ZapRange, FlushPCID,
-// FlushVPID and FlushAll — and after every step requires identical return
+// Insert (hits, fills and evictions), FlushPage, FlushPCID, FlushVPID and
+// FlushAll — and after every step requires identical return
 // values, Stats, Len and Range order. Capacities cover the degenerate
 // single-entry TLB, odd sizes, and the default 1536; tag sets cover dense
 // runs and tags whose probe clusters pile onto one home slot or wrap past
@@ -283,13 +266,9 @@ func runModel(t *testing.T, capacity int, tags []Key, steps int, seed int64) {
 				e := Entry{PFN: arch.PFN(rng.Intn(1 << 20)), Global: rng.Intn(4) == 0, Write: rng.Intn(2) == 0}
 				tb.Insert(k.VPID, k.PCID, va(k), e)
 				ref.insert(k, e)
-			case op < 93:
+			default:
 				tb.FlushPage(k.VPID, k.PCID, va(k))
 				ref.flushPage(k)
-			default:
-				pages := rng.Intn(span()) - 1
-				got = fmt.Sprint("ZapRange ", tb.ZapRange(k.VPID, k.PCID, va(k), pages))
-				want = fmt.Sprint("ZapRange ", ref.zapRange(k, pages))
 			}
 		}
 		if got != want {

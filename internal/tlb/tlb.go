@@ -331,31 +331,6 @@ func (t *TLB) FlushPage(vpid arch.VPID, pcid arch.PCID, va arch.VA) {
 	}
 }
 
-// ZapRange removes the translations of pages consecutive pages starting at
-// va — INVLPG applied to a run. Per page it removes exactly what FlushPage
-// would, with the same FlushPage/FlushedEnts motion. Returns the number of
-// entries removed.
-func (t *TLB) ZapRange(vpid arch.VPID, pcid arch.PCID, va arch.VA, pages int) int {
-	if pages <= 0 {
-		return 0
-	}
-	t.stats.FlushPage += int64(pages)
-	if t.live == 0 {
-		return 0
-	}
-	k := pack(vpid, pcid, va.PageNumber())
-	n := 0
-	for p := 0; p < pages; p++ {
-		// Consecutive pages differ by one in the packed form.
-		if s, i := t.probe(k + uint64(p)); i != none {
-			t.remove(s, i)
-			n++
-		}
-	}
-	t.stats.FlushedEnts += int64(n)
-	return n
-}
-
 // FlushPCID removes all non-global entries of one (VPID, PCID) address
 // space and returns how many entries were dropped.
 func (t *TLB) FlushPCID(vpid arch.VPID, pcid arch.PCID) int {

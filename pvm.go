@@ -96,14 +96,6 @@ type Kernel = guest.Kernel
 // must only change while no simulation is running.
 func SetLifecycleBypass(on bool) { guest.SetLifecycleBypass(on) }
 
-// SetVMABypass disables (true) or restores (false) the ranged VMA-mutation
-// fast lane (structural mprotect/munmap walks, batched TLB zaps, one-pass
-// dirty-log arming), routing those paths through the per-page reference
-// loops instead. Same contract as SetLifecycleBypass: observationally
-// identical lanes, toggled only while no simulation runs (the equivalence
-// grids and the PerPage mutation benchmarks).
-func SetVMABypass(on bool) { guest.SetVMABypass(on) }
-
 // CPU is a simulated vCPU with a deterministic virtual clock.
 type CPU = vclock.CPU
 
