@@ -14,14 +14,16 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # check is the PR gate: full build, vet, and the concurrency-sensitive
-# packages (the engine, the parallel experiment runner, and the metamorphic
-# harness) under the race detector. -short selects the reduced experiment
-# grids and fuzz corpus so the race-instrumented pass stays within CI
-# budgets even at -count=2; the full grids run race-free via `make test`.
+# packages (the engine, the parallel experiment runner, the metamorphic
+# harness, the TLB whose released arenas cross goroutines through a pool,
+# and the shadow lock tables) under the race detector. -short selects the
+# reduced experiment grids and fuzz corpus so the race-instrumented pass
+# stays within CI budgets even at -count=2; the full grids run race-free via
+# `make test`.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/...
+	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/... ./internal/tlb/... ./internal/core/...
 
 # check-bench-refs fails when a bench artifact this Makefile or the CI
 # workflow reads is missing from the tree (files they only write, after

@@ -29,15 +29,6 @@ func (g *Guest) AuditProcess(p *guest.Process) error {
 	return nil
 }
 
-// get returns the frame backing gpa without allocating.
-func (f *frameMap) get(gpa arch.PFN) (arch.PFN, bool) {
-	s := f.shard(gpa)
-	s.mu.Lock()
-	t, ok := s.m[gpa]
-	s.mu.Unlock()
-	return t, ok
-}
-
 // tlbVA recovers the page-aligned virtual address of a TLB tag.
 func tlbVA(k tlb.Key) arch.VA { return arch.VA(k.VPN) << arch.PageShift }
 

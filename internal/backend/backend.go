@@ -476,12 +476,15 @@ func (g *Guest) RegisterProcess(p *guest.Process) {
 }
 
 // UnregisterProcess implements guest.Platform. Gates like RegisterProcess.
+// The process's TLB hands its arena on to the next process (tlb.Release);
+// the teardown's per-page flushes that follow find it empty.
 func (g *Guest) UnregisterProcess(p *guest.Process) {
 	p.CPU.Sync()
 	g.procMu.Lock()
 	g.liveProcs--
 	g.procMu.Unlock()
 	g.mmu.unregister(p)
+	pd(p).tlb.Release()
 }
 
 // FlushRange implements guest.Platform.

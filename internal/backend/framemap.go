@@ -4,81 +4,69 @@ import (
 	"sync"
 
 	"repro/internal/arch"
+	"repro/internal/mem"
 )
 
-// frameShards is the number of independently locked slices of a frameMap
-// (power of two).
-const frameShards = 8
-
-// frameShard is one cache-line-padded slice of the map. The padding keeps
-// each shard's mutex on its own line, mirroring the sharded-counter layout
-// in internal/metrics: vCPU goroutines are ordered by the vclock engine,
-// but their bookkeeping overlaps in real time, and under -parallel
-// experiment fan-out a single mutex protecting every backingFrame call
-// becomes a coherence hot spot.
-type frameShard struct {
-	mu sync.Mutex
-	m  map[arch.PFN]arch.PFN
-	_  [64 - 16]byte
-}
-
 // frameMap maps guest-physical frames to the machine frames backing them
-// (host-physical on bare metal, L1-guest-physical when nested). Keys are
-// spread over shards by their low bits, so frames allocated by different
-// vCPUs rarely contend. Determinism is unaffected: which frame backs a
-// given gpa depends only on the (virtually serialized) order of allocator
-// calls, not on which shard holds the mapping.
+// (host-physical on bare metal, L1-guest-physical when nested). The frames
+// sit in a mem.FrameTable, where 0 marks an unbacked frame (no allocator
+// hands out frame 0). Determinism is unaffected: which frame backs a given
+// gpa depends only on the (virtually serialized) order of allocator calls.
+//
+// One mutex guards the table: a map belongs to one guest's mmu strategy,
+// and every System has its own guests, so only the vCPUs of one guest share
+// it (and -parallel experiment cells never do).
 type frameMap struct {
-	shards [frameShards]frameShard
+	mu     sync.Mutex
+	frames mem.FrameTable[arch.PFN]
+	live   int // backed frames
 }
 
-func newFrameMap() *frameMap {
-	f := &frameMap{}
-	for i := range f.shards {
-		f.shards[i].m = map[arch.PFN]arch.PFN{}
-	}
-	return f
-}
+func newFrameMap() *frameMap { return &frameMap{} }
 
-func (f *frameMap) shard(gpa arch.PFN) *frameShard {
-	return &f.shards[uint64(gpa)&(frameShards-1)]
-}
-
-// getOrAlloc returns the frame backing gpa, calling alloc (under the
-// shard lock) to establish one on first use. It reports whether the frame
-// was freshly allocated.
+// getOrAlloc returns the frame backing gpa, calling alloc (under the map's
+// lock) to establish one on first use. It reports whether the frame was
+// freshly allocated.
 func (f *frameMap) getOrAlloc(gpa arch.PFN, alloc func() arch.PFN) (target arch.PFN, alloced bool) {
-	s := f.shard(gpa)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.m[gpa]; ok {
-		return t, false
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.frames.Slot(gpa)
+	if *s != 0 {
+		return *s, false
 	}
 	t := alloc()
-	s.m[gpa] = t
+	if t == 0 {
+		panic("backend: backing frame 0 collides with the unbacked mark")
+	}
+	*s = t
+	f.live++
 	return t, true
+}
+
+// get returns the frame backing gpa without allocating.
+func (f *frameMap) get(gpa arch.PFN) (arch.PFN, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := f.frames.Get(gpa)
+	return t, t != 0
 }
 
 // remove drops gpa's backing mapping, returning the frame that backed it.
 func (f *frameMap) remove(gpa arch.PFN) (arch.PFN, bool) {
-	s := f.shard(gpa)
-	s.mu.Lock()
-	t, ok := s.m[gpa]
-	if ok {
-		delete(s.m, gpa)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := f.frames.Get(gpa)
+	if t == 0 {
+		return 0, false
 	}
-	s.mu.Unlock()
-	return t, ok
+	*f.frames.Slot(gpa) = 0
+	f.live--
+	return t, true
 }
 
 // len returns the number of backed frames.
 func (f *frameMap) len() int {
-	n := 0
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.live
 }

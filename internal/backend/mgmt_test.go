@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/guest"
 	"repro/internal/vclock"
 )
@@ -113,30 +114,48 @@ func TestVMCSShadowingExitStorm(t *testing.T) {
 	}
 }
 
+// TestVMCS12AccessAccounting pins the VMCS12 traffic of nested exits: L1's
+// handler touches the VMCS12 45 times per L2→L1 trip (VMCSAccessesPerExit),
+// alternating reads and writes from a read, so a System holding one nested
+// KVM guest counts exactly 23 reads and 22 writes per L1 exit, with VMCS
+// shadowing on or off (shadowing changes which accesses trap, not how many
+// there are). L1Exits counts the whole System, and its only other source is
+// the PVM switcher, so one guest makes the identity exact.
 func TestVMCS12AccessAccounting(t *testing.T) {
-	opt := DefaultOptions()
-	s := NewSystem(KVMEPTNST, opt)
-	g, err := s.NewGuest("g0")
-	if err != nil {
-		t.Fatal(err)
+	if n := cost.Default().VMCSAccessesPerExit; n != 45 {
+		t.Fatalf("VMCSAccessesPerExit = %d, the identities below assume 45", n)
 	}
-	if g.VMCS12() == nil {
-		t.Fatal("nested kvm guest missing VMCS12")
-	}
-	if !g.VMCS12().Shadowed {
+	if !DefaultOptions().VMCSShadowing {
 		t.Error("default options should enable VMCS shadowing")
 	}
-	g.Run(0, 2, func(p *guest.Process) {
-		base := p.Mmap(1)
-		p.Touch(base, true)
-	})
-	s.Eng.Wait()
-	r, w := g.VMCS12().Accesses()
-	if r == 0 || w == 0 {
-		t.Errorf("VMCS12 accesses = (%d, %d), want > 0 during nested exits", r, w)
+	for _, cfg := range []Config{KVMEPTNST, SPTEPTNST} {
+		for _, shadowing := range []bool{true, false} {
+			opt := DefaultOptions()
+			opt.VMCSShadowing = shadowing
+			s := NewSystem(cfg, opt)
+			g, err := s.NewGuest("g0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.VMCS12() == nil || g.VMCS12().Shadowed != shadowing {
+				t.Fatalf("%s: VMCS12 missing or shadowing not %v", cfg, shadowing)
+			}
+			g.Run(0, 2, func(p *guest.Process) {
+				base := p.Mmap(8)
+				p.TouchRange(base, 8, true)
+				p.Syscall(100)
+			})
+			s.Eng.Wait()
+			exits := s.Ctr.L1Exits.Load()
+			r, w := g.VMCS12().Accesses()
+			if exits == 0 || r != 23*exits || w != 22*exits {
+				t.Errorf("%s shadowing=%v: VMCS12 accesses = (%d, %d) over %d L1 exits, want (23, 22) per exit",
+					cfg, shadowing, r, w, exits)
+			}
+		}
 	}
 	// PVM guests have no VMCS12 at all — the design point.
-	s2 := NewSystem(PVMNST, opt)
+	s2 := NewSystem(PVMNST, DefaultOptions())
 	g2, err := s2.NewGuest("g0")
 	if err != nil {
 		t.Fatal(err)

@@ -63,17 +63,12 @@ func (g *Guest) l2ToL1(c *vclock.CPU) {
 	if g.vmcs12 == nil {
 		return
 	}
-	for i := 0; i < prm.VMCSAccessesPerExit; i++ {
-		if i%2 == 0 {
-			g.vmcs12.Read(arch.NonRootMode)
-		} else {
-			g.vmcs12.Write(arch.NonRootMode)
-		}
-	}
+	// The handler alternates reads and writes, starting with a read.
+	n := prm.VMCSAccessesPerExit
+	g.vmcs12.Access(arch.NonRootMode, (n+1)/2, n/2)
 	if !g.vmcs12.Shadowed {
-		n := int64(prm.VMCSAccessesPerExit)
-		ctr.L0Exits.Add(n)
-		c.AdvanceLazy(n * (2*prm.SwitchHW + prm.VMCSAccess))
+		ctr.L0Exits.Add(int64(n))
+		c.AdvanceLazy(int64(n) * (2*prm.SwitchHW + prm.VMCSAccess))
 	}
 }
 

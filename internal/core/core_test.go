@@ -140,6 +140,43 @@ func TestLockSetGranularity(t *testing.T) {
 	}
 }
 
+// TestRmapLocksByFrame pins the rmap_lock table: one lock per guest frame,
+// the same on every call, distinct across frames, chunk boundaries
+// (511/512/513) and the guest-physical range included; and every rmap_lock
+// of an owned set is owned, whether created before Own or after it.
+func TestRmapLocksByFrame(t *testing.T) {
+	eng := vclock.NewEngine()
+	ls := NewLockSet(eng, "g", FineLock)
+	before := []arch.PFN{5, 7, 511, 512, 513, 0x1000, 0x1001, 0x1200}
+	after := []arch.PFN{0, 6, 1023, 1024, 0x1002, 0x5000}
+	seen := map[*vclock.Lock]arch.PFN{}
+	check := func(gfns []arch.PFN) {
+		for _, gfn := range gfns {
+			l := ls.Rmap(gfn)
+			if l != ls.Rmap(gfn) {
+				t.Errorf("frame %#x: Rmap returned two locks", gfn)
+			}
+			if other, dup := seen[l]; dup && other != gfn {
+				t.Errorf("frames %#x and %#x share an rmap_lock", other, gfn)
+			}
+			seen[l] = gfn
+		}
+	}
+	check(before)
+	c := eng.NewCPU(0)
+	defer c.Done()
+	ls.Own(c)
+	check(after)
+	for l, gfn := range seen {
+		if l.Owner() != c {
+			t.Errorf("rmap_lock of frame %#x not owned after Own", gfn)
+		}
+	}
+	if len(seen) != len(before)+len(after) {
+		t.Errorf("%d distinct rmap_locks for %d frames", len(seen), len(before)+len(after))
+	}
+}
+
 func TestAttackSurface(t *testing.T) {
 	trad := TraditionalContainerSurface()
 	pvm := PVMSecureContainerSurface()

@@ -132,18 +132,17 @@ type LockSet struct {
 	ptLocks map[ptKey]*vclock.Lock
 
 	rmapMu    sync.Mutex
-	rmapLocks map[arch.PFN]*vclock.Lock
+	rmapLocks mem.FrameTable[*vclock.Lock] // by guest frame
 }
 
 // NewLockSet builds a lock set for one guest.
 func NewLockSet(eng *vclock.Engine, guestName string, mode LockMode) *LockSet {
 	return &LockSet{
-		Mode:      mode,
-		Meta:      eng.NewLock("pvm-meta:" + guestName),
-		Coarse:    eng.NewLock("pvm-mmu:" + guestName),
-		eng:       eng,
-		ptLocks:   map[ptKey]*vclock.Lock{},
-		rmapLocks: map[arch.PFN]*vclock.Lock{},
+		Mode:    mode,
+		Meta:    eng.NewLock("pvm-meta:" + guestName),
+		Coarse:  eng.NewLock("pvm-mmu:" + guestName),
+		eng:     eng,
+		ptLocks: map[ptKey]*vclock.Lock{},
 	}
 }
 
@@ -164,12 +163,11 @@ func (ls *LockSet) PT(owner int, va arch.VA) *vclock.Lock {
 func (ls *LockSet) Rmap(gfn arch.PFN) *vclock.Lock {
 	ls.rmapMu.Lock()
 	defer ls.rmapMu.Unlock()
-	l, ok := ls.rmapLocks[gfn]
-	if !ok {
-		l = ls.newLock("pvm-rmap")
-		ls.rmapLocks[gfn] = l
+	l := ls.rmapLocks.Slot(gfn)
+	if *l == nil {
+		*l = ls.newLock("pvm-rmap")
 	}
-	return l
+	return *l
 }
 
 // newLock creates a lock of the set, owned when the set is. Caller holds
@@ -196,9 +194,7 @@ func (ls *LockSet) Own(c *vclock.CPU) {
 	for _, l := range ls.ptLocks {
 		l.Own(c)
 	}
-	for _, l := range ls.rmapLocks {
-		l.Own(c)
-	}
+	ls.rmapLocks.Each(func(l *vclock.Lock) { l.Own(c) })
 }
 
 // PTLockCount returns how many distinct pt_locks have been created (a proxy

@@ -65,9 +65,9 @@ func (p *Process) Munmap(base arch.VA, pages int) error {
 	return nil
 }
 
-// munmapPerPage is the unmap sweep: one cursor lookup, one root-walked PTE
-// clear (firing the platform's PTE-store hook), one refcount read, and one
-// frame free per present page.
+// munmapPerPage is the unmap sweep: one cursor lookup, one cursor PTE clear
+// (firing the platform's PTE-store hook), one refcount read, and one frame
+// free per present page.
 func (p *Process) munmapPerPage(lo, hi arch.VA) error {
 	prm := p.K.plat.Params()
 	for va := lo; va < hi; va += arch.PageSize {
@@ -76,7 +76,7 @@ func (p *Process) munmapPerPage(lo, hi arch.VA) error {
 			continue
 		}
 		p.CPU.AdvanceLazy(prm.PTEWrite)
-		p.GPT.Unmap(va) // fires the platform's PTE-store hook
+		p.gptMapper.Unmap(va) // fires the platform's PTE-store hook
 		// Release the backing before the frame reaches the free list: a
 		// frame another vCPU allocates must never arrive still backed.
 		if p.K.GPA.RefCount(e.PFN) == 1 {

@@ -1,6 +1,7 @@
 // Package mem provides the physical-memory substrate of the simulator:
 // refcounted page-frame allocators for each physical layer (host physical,
-// L1 guest physical, L2 guest physical).
+// L1 guest physical, L2 guest physical), and FrameTable, which keeps a
+// value per frame for the layers above them.
 //
 // Frames are identified by arch.PFN. The allocator tracks reference counts so
 // higher layers can model copy-on-write sharing (fork) and page-table frame

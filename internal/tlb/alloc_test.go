@@ -1,11 +1,16 @@
 package tlb
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
 	"repro/internal/arch"
 )
+
+// raceEnabled reports a race-detector build (set in race_test.go).
+var raceEnabled bool
 
 // TestLookupZeroAlloc pins the allocation budget of the TLB hot path: hits,
 // misses, and warm inserts must not allocate.
@@ -50,5 +55,55 @@ func TestLookupZeroAlloc(t *testing.T) {
 func TestNodeSize(t *testing.T) {
 	if n := unsafe.Sizeof(node{}); n != 32 {
 		t.Fatalf("sizeof(node) = %d, want 32", n)
+	}
+}
+
+// TestReleaseRecyclesArena pins arena reuse. A TLB whose capacity matches a
+// released arena's takes that arena over at its first insert, with no
+// allocation; a TLB of another capacity does not take it. The collector is
+// off, so the pool keeps what it is given, and one P runs the test, so the
+// pool hands back what it was given last.
+func TestReleaseRecyclesArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	first := New(1536)
+	first.Insert(1, 2, 0, Entry{PFN: 1})
+	released := first.arena
+	first.Release()
+	if first.Len() != 0 || first.arena != nil {
+		t.Fatalf("released TLB holds %d entries, arena %p", first.Len(), first.arena)
+	}
+	if _, ok := first.Lookup(1, 2, 0, false); ok {
+		t.Fatal("released TLB still hits")
+	}
+	next := New(1536)
+	next.Insert(1, 2, 0, Entry{PFN: 2})
+	if next.arena != released {
+		t.Fatal("1536-entry TLB did not take the released arena")
+	}
+	next.Release()
+
+	other := New(64)
+	other.Insert(1, 2, 0, Entry{PFN: 1})
+	if other.arena == released || cap(other.nodes) != 64 || len(other.index) != 128 {
+		t.Fatalf("64-entry TLB took a %d-node arena with a %d-slot index", cap(other.nodes), len(other.index))
+	}
+
+	var kept *arena
+	allocs := testing.AllocsPerRun(100, func() {
+		next.Insert(1, 2, 0, Entry{PFN: 2})
+		if kept == nil {
+			kept = next.arena
+		} else if next.arena != kept {
+			t.Fatal("1536-entry TLB did not take the arena it released")
+		}
+		next.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("first Insert after Release allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -80,3 +80,19 @@ func BenchmarkSweep(b *testing.B) {
 	}
 	b.ReportMetric(float64(total)/float64(len(windows)), "pages/op")
 }
+
+// BenchmarkProcessTLB is one short-lived process's TLB: built at its
+// geometry, written for the 48 pages of a vma-lifecycle fork child's COW
+// window, and released when the process exits. With Release recycling the
+// arena, a steady stream of such processes allocates no arenas; what is
+// left is refilling the recycled index and the inserts themselves.
+func BenchmarkProcessTLB(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t := New(1536)
+		for p := 0; p < 48; p++ {
+			t.Insert(1, 1, arch.VA(p)<<arch.PageShift, Entry{PFN: arch.PFN(p), Write: true})
+		}
+		t.Release()
+	}
+}

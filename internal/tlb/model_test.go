@@ -95,6 +95,12 @@ func (r *refTLB) flushPage(k Key) {
 	}
 }
 
+// release empties the model without counting a flush.
+func (r *refTLB) release() {
+	r.ents = map[Key]Entry{}
+	r.lru = nil
+}
+
 func (r *refTLB) flushWhere(pred func(Key, Entry) bool) int {
 	var victims []Key
 	for _, k := range r.lru {
@@ -151,22 +157,21 @@ func modelTags(capacity int, kind string) []Key {
 
 // TestTLBMatchesReferenceModel drives the TLB and the reference model
 // through long random schedules of every operation — Lookup, LookupRange,
-// Insert (hits, fills and evictions), FlushPage, FlushPCID, FlushVPID and
-// FlushAll — and after every step requires identical return
+// Insert (hits, fills and evictions), FlushPage, FlushPCID, FlushVPID,
+// FlushAll and Release — and after every step requires identical return
 // values, Stats, Len and Range order. Capacities cover the degenerate
 // single-entry TLB, odd sizes, and the default 1536; tag sets cover dense
 // runs and tags whose probe clusters pile onto one home slot or wrap past
 // the end of the index, where backward-shift deletion does its work. Every
-// schedule must fill the TLB and evict from it.
+// schedule must fill the TLB and evict from it both before and after it
+// releases the arena (see runModel). The first insert after a release must
+// land in slot 0, as in a fresh TLB, whether the arena it sets up is new or
+// recycled.
 func TestTLBMatchesReferenceModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 64, 1536} {
 		for _, kind := range []string{"dense", "one-home", "end-homes"} {
 			t.Run(fmt.Sprintf("cap=%d/%s", capacity, kind), func(t *testing.T) {
-				steps := 20000
-				if capacity == 1536 {
-					steps = 10000
-				}
-				runModel(t, capacity, modelTags(capacity, kind), steps, int64(capacity))
+				runModel(t, capacity, modelTags(capacity, kind), 20000, int64(capacity))
 			})
 		}
 	}
@@ -230,12 +235,25 @@ func runModel(t *testing.T, capacity int, tags []Key, steps int, seed int64) {
 	if pFlush > 0.07 {
 		pFlush = 0.07
 	}
-	full := false
+	// Once the schedule has evicted half a TLB's worth of entries since its
+	// last Release, it is forced to Release once; after its last Release it
+	// must fill the TLB and evict as many again. Random Releases stop
+	// halfway, so the final phase is long enough for that at every capacity.
+	// full and releasedAt (the eviction count at the last Release) track the
+	// phase since the last Release.
+	enough := int64(capacity+1) / 2
+	full, forced, released := false, false, false
+	var releasedAt int64
 	for step := 0; step < steps; step++ {
 		k := tags[rng.Intn(len(tags))]
 		var got, want string
-		if rng.Float64() < pFlush {
-			switch op := rng.Intn(10); {
+		force := !forced && ref.stats.Evictions-releasedAt >= enough
+		if force || rng.Float64() < pFlush {
+			switch op := rng.Intn(11); {
+			case force || op == 10 && step < steps/2:
+				tb.Release()
+				ref.release()
+				forced, released, full, releasedAt = forced || force, true, false, ref.stats.Evictions
 			case op < 6:
 				got = fmt.Sprint("FlushPCID ", tb.FlushPCID(k.VPID, k.PCID))
 				ref.stats.FlushPCID++
@@ -266,6 +284,12 @@ func runModel(t *testing.T, capacity int, tags []Key, steps int, seed int64) {
 				e := Entry{PFN: arch.PFN(rng.Intn(1 << 20)), Global: rng.Intn(4) == 0, Write: rng.Intn(2) == 0}
 				tb.Insert(k.VPID, k.PCID, va(k), e)
 				ref.insert(k, e)
+				if released {
+					if tb.head != 0 || len(tb.nodes) != 1 {
+						t.Fatalf("step %d: first insert after Release took slot %d of %d, want 0 of 1", step, tb.head, len(tb.nodes))
+					}
+					released = false
+				}
 			default:
 				tb.FlushPage(k.VPID, k.PCID, va(k))
 				ref.flushPage(k)
@@ -294,7 +318,8 @@ func runModel(t *testing.T, capacity int, tags []Key, steps int, seed int64) {
 			t.Fatalf("step %d: Range visited %d entries, want %d", step, i, len(ref.lru))
 		}
 	}
-	if !full || ref.stats.Evictions == 0 {
-		t.Fatalf("schedule never filled the TLB (full=%v, evictions=%d)", full, ref.stats.Evictions)
+	if since := ref.stats.Evictions - releasedAt; !forced || !full || since < enough {
+		t.Fatalf("schedule did not evict %d entries, release, then fill the TLB and evict %d again (released=%v, full since=%v, evictions since=%d)",
+			enough, enough, forced, full, since)
 	}
 }

@@ -8,8 +8,11 @@
 // flush (the cold-start penalty described in §3.3.2 of the paper).
 //
 // The LRU chain is an intrusive doubly-linked list threaded through a slice
-// of nodes allocated once, so the steady-state hot path — Lookup and Insert
-// on a warm TLB — performs no heap allocation at all.
+// of nodes, so the steady-state hot path — Lookup and Insert on a warm TLB —
+// performs no heap allocation at all. The node slice and the index form the
+// TLB's arena: a TLB builds it at its first Insert and hands it back with
+// Release when its process goes away, and the next TLB of the same capacity
+// takes it over instead of allocating its own.
 //
 // Tags are packed into a single uint64 (VPN | PCID | VPID) and resolved
 // through an open-addressed index the TLB owns: a power-of-two slice of node
@@ -22,6 +25,8 @@
 package tlb
 
 import (
+	"sync"
+
 	"repro/internal/arch"
 )
 
@@ -102,10 +107,21 @@ const hashMul = 0x9e3779b97f4a7c15
 // slot, shared read-only, so probes of a fresh TLB miss without a branch.
 var unallocated = []int32{none}
 
+// arena is the storage of one TLB's geometry: room for capacity nodes (the
+// slice's capacity, which the TLB appends into) and the index sized for them.
+type arena struct {
+	nodes []node
+	index []int32
+}
+
+// arenas holds the arenas of released TLBs for reuse (see Release).
+var arenas sync.Pool
+
 // TLB is a capacity-bounded, LRU-evicting, tagged TLB.
 type TLB struct {
 	capacity int
-	nodes    []node // all capacity slots, allocated once
+	arena    *arena // nil until the first Insert and after Release
+	nodes    []node // the arena's slots in use, up to capacity
 	head     int32  // most recently used, or none
 	tail     int32  // least recently used, or none
 	free     int32  // chain of unused slots through next
@@ -123,12 +139,13 @@ type TLB struct {
 }
 
 // New creates a TLB holding up to capacity entries (capacity <= 0 panics).
-// The node arena and index are allocated at full geometry by the first
-// Insert, not here: a process that never touches a page (a short-lived fork
-// child, say) pays nothing for its TLB, which keeps per-process construction
-// off the lifecycle hot paths, while a faulting process pays the one-time
-// allocation it always paid — just at first use. Slot indexes are handed out
-// in the same 0,1,2,… order either way, so the deferral is unobservable.
+// The node arena and index are set up at full geometry by the first Insert,
+// not here: a process that never touches a page (a short-lived fork child,
+// say) pays nothing for its TLB, which keeps per-process construction off
+// the lifecycle hot paths, while a faulting process takes over a released
+// arena of its capacity or, failing that, allocates one at first use. Slot
+// indexes are handed out in the same 0,1,2,… order either way, so neither
+// the deferral nor the reuse is observable.
 func New(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("tlb: capacity must be positive")
@@ -144,18 +161,42 @@ func New(capacity int) *TLB {
 }
 
 // allocate builds the full geometry: the node arena and an index of the
-// smallest power of two at least twice the capacity.
+// smallest power of two at least twice the capacity. A released arena of the
+// same capacity is reused, emptied to the state of a fresh one.
 func (t *TLB) allocate() {
 	bits := uint(1)
 	for 1<<bits < 2*t.capacity {
 		bits++
 	}
-	t.nodes = make([]node, 0, t.capacity)
-	t.index = make([]int32, 1<<bits)
+	// An arena of another capacity is dropped, not put back: put back, it
+	// would be the one the next Get returns again, keeping every TLB of this
+	// capacity from the arenas behind it.
+	if a, _ := arenas.Get().(*arena); a != nil && cap(a.nodes) == t.capacity {
+		t.arena = a
+	}
+	if t.arena == nil {
+		t.arena = &arena{nodes: make([]node, 0, t.capacity), index: make([]int32, 1<<bits)}
+	}
+	t.nodes, t.index = t.arena.nodes[:0], t.arena.index
 	for s := range t.index {
 		t.index[s] = none
 	}
 	t.shift = 64 - bits
+}
+
+// Release empties the TLB and returns its arena to the pool, where the next
+// TLB of the same capacity to insert for the first time takes it over (a TLB
+// of another capacity that draws it drops it). The TLB stays valid: it
+// misses until it inserts again, which sets up an arena anew. Release is not
+// a flush; Stats keep their values. A process's TLB is released when the
+// process leaves its address space (exit or exec).
+func (t *TLB) Release() {
+	if t.arena == nil {
+		return
+	}
+	arenas.Put(t.arena)
+	t.arena, t.nodes, t.index, t.shift = nil, nil, unallocated, 64
+	t.head, t.tail, t.free, t.live = none, none, none, 0
 }
 
 // home returns the index slot a probe for packed tag k starts at.

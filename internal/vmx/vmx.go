@@ -85,7 +85,9 @@ type CPUState struct {
 
 // VMCS is one VM control structure. Reads and writes are counted; when the
 // structure is *not* hardware-shadowed and the accessor runs in non-root
-// mode, each access traps to L0 (the OnTrappedAccess hook charges it). This
+// mode, each access traps to L0. The caller charges those traps (the
+// backend adds one L0 exit and round trip per access to the nested exit it
+// models); the OnTrappedAccess hook, when set, only observes them. This
 // reproduces the motivation for VMCS shadowing: handling one L2 world switch
 // touches the VMCS dozens of times (§2.1, 40–50 exits without shadowing).
 type VMCS struct {
@@ -114,19 +116,16 @@ type VMCS struct {
 // NewVMCS returns a named, zeroed VMCS.
 func NewVMCS(name string) *VMCS { return &VMCS{Name: name} }
 
-// Read models a VMREAD performed from the given mode.
-func (v *VMCS) Read(mode arch.Mode) {
-	v.reads.Add(1)
+// Access models reads VMREADs and writes VMWRITEs performed from the given
+// mode. Both counts are added in one step; OnTrappedAccess, when installed,
+// still runs once per trapped access.
+func (v *VMCS) Access(mode arch.Mode, reads, writes int) {
+	v.reads.Add(int64(reads))
+	v.writes.Add(int64(writes))
 	if mode == arch.NonRootMode && !v.Shadowed && v.OnTrappedAccess != nil {
-		v.OnTrappedAccess()
-	}
-}
-
-// Write models a VMWRITE performed from the given mode.
-func (v *VMCS) Write(mode arch.Mode) {
-	v.writes.Add(1)
-	if mode == arch.NonRootMode && !v.Shadowed && v.OnTrappedAccess != nil {
-		v.OnTrappedAccess()
+		for i := 0; i < reads+writes; i++ {
+			v.OnTrappedAccess()
+		}
 	}
 }
 

@@ -35,23 +35,19 @@ func TestVMCSTrappedAccesses(t *testing.T) {
 	v := NewVMCS("vmcs12")
 	traps := 0
 	v.OnTrappedAccess = func() { traps++ }
-	for i := 0; i < 20; i++ {
-		v.Read(arch.NonRootMode)
-		v.Write(arch.NonRootMode)
-	}
+	v.Access(arch.NonRootMode, 1, 1)
+	v.Access(arch.NonRootMode, 19, 19) // a bulk access traps once per access
 	if traps != 40 {
 		t.Errorf("non-shadowed accesses trapped %d times, want 40", traps)
 	}
 	// Root-mode accesses never trap.
-	v.Read(arch.RootMode)
-	v.Write(arch.RootMode)
+	v.Access(arch.RootMode, 1, 1)
 	if traps != 40 {
 		t.Error("root-mode access trapped")
 	}
 	// With shadowing enabled, non-root accesses stop trapping.
 	v.Shadowed = true
-	v.Read(arch.NonRootMode)
-	v.Write(arch.NonRootMode)
+	v.Access(arch.NonRootMode, 1, 1)
 	if traps != 40 {
 		t.Error("shadowed access trapped")
 	}
