@@ -16,14 +16,16 @@ test:
 # check is the PR gate: full build, vet, and the concurrency-sensitive
 # packages (the engine, the parallel experiment runner, the metamorphic
 # harness, the TLB whose released arenas cross goroutines through a pool,
-# and the shadow lock tables) under the race detector. -short selects the
+# the shadow lock tables, and the L0 hypervisor whose per-VM frame
+# allocators a bound sandbox touches without a gate) under the race
+# detector. -short selects the
 # reduced experiment grids and fuzz corpus so the race-instrumented pass
 # stays within CI budgets even at -count=2; the full grids run race-free via
 # `make test`.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/... ./internal/tlb/... ./internal/core/...
+	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/... ./internal/tlb/... ./internal/core/... ./internal/hv/...
 
 # check-bench-refs fails when a bench artifact this Makefile or the CI
 # workflow reads is missing from the tree (files they only write, after
@@ -38,10 +40,10 @@ check-bench-refs:
 
 # fuzz sweeps the full metamorphic corpus (10 variants per seed, including
 # the lifecycle fast lane disabled and dirty-page logging armed) plus the
-# backend and bound-sandbox differential grids without the race detector's
-# slowdown.
+# backend and bound-sandbox differential grids and the bound fleets' gate
+# count without the race detector's slowdown.
 fuzz:
-	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential|TestBoundFleetDifferential' ./internal/check/
+	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential|TestBoundFleetDifferential|TestBoundBareMetalGatesIgnorePages' ./internal/check/
 	$(GO) test -count=1 -run 'TestRangedAccessEquivalence|TestForkTeardownEquivalence|TestDirtyLog' ./internal/backend/
 
 # bench writes a fresh report (benchreport's default file name; it is not

@@ -23,6 +23,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/guest"
 	"repro/internal/hv"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/pagetable"
 	"repro/internal/tlb"
@@ -139,8 +140,8 @@ type Options struct {
 	// for nested configurations.
 	Warm bool
 
-	// HPAFrames / GPAFrames bound physical memory (0 = unlimited).
-	HPAFrames int64
+	// GPAFrames bounds each guest's guest-physical memory (0 =
+	// unlimited).
 	GPAFrames int64
 }
 
@@ -199,7 +200,7 @@ func NewSystemWithParams(cfg Config, opt Options, prm cost.Params) *System {
 		eng.SetCores(opt.Cores)
 	}
 	ctr := &metrics.Counters{}
-	host := hv.NewHost(eng, prm, ctr, opt.HPAFrames)
+	host := hv.NewHost(eng, prm, ctr)
 	s := &System{
 		Cfg:      cfg,
 		Opt:      opt,
@@ -293,8 +294,9 @@ type Guest struct {
 // from now on; c owns the guest's own locks (the PVM shadow lock set, the
 // SPT and EPT-on-EPT per-guest mmu_locks, and on bare metal the guest VM's
 // mmu_lock, but never the nested L1 instance's); and return-to-guest legs
-// become private charges. Every touch of System-shared state — the host and
-// L1 frame allocators, L1's EPT01 and mmu_lock, the PID and PCID
+// become private charges, as do the draws and returns of a bare-metal
+// guest's host frames (withFrames). Every touch of System-shared state — the
+// L1 instance's frame allocators, EPT01 and mmu_lock, the PID and PCID
 // allocators, the live-process count, Compute dilation — keeps its gate at
 // the same virtual instant, so virtual time is unchanged (DESIGN.md §4,
 // "Sandbox-bound guests").
@@ -319,6 +321,30 @@ func (g *Guest) Bind(c *vclock.CPU) error {
 // order charges d at an ordering point whose gate orders only this guest's
 // own state: elided once the guest is bound (see vclock.CPU.Order).
 func (g *Guest) order(c *vclock.CPU, d int64) { c.Order(d, g.owner != nil) }
+
+// machineFrames returns the frame source of the guest's backing frames and
+// shadow tables: its own VM's host frames on bare metal, the L1 instance's
+// guest-physical frames when nested.
+func (g *Guest) machineFrames() *mem.Allocator {
+	if g.Sys.Cfg.Nested() {
+		return g.Sys.L1.GPA
+	}
+	return g.vm.Frames
+}
+
+// withFrames runs fn, a body that draws or returns machineFrames, under lock
+// with hold charged inside. On bare metal the frames are the guest VM's own,
+// so on a lock the guest's vCPU owns the body is private (Lock.WithPrivate).
+// Nested, they are L1's, shared by every L2 guest, and a recycled L1 frame
+// keeps its EPT01 backing, so which frame a guest draws reaches virtual
+// time: the body gates (Lock.With).
+func (g *Guest) withFrames(lock *vclock.Lock, c *vclock.CPU, hold int64, fn func()) {
+	if g.Sys.Cfg.Nested() {
+		lock.With(c, hold, fn)
+	} else {
+		lock.WithPrivate(c, hold, fn)
+	}
+}
 
 // VMCS12 returns the guest's software VMCS (nil for non-nested-KVM guests).
 func (g *Guest) VMCS12() *vmx.VMCS { return g.vmcs12 }

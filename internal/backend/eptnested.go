@@ -57,7 +57,7 @@ func newEPTNestedMMU(g *Guest) *eptNestedMMU {
 	m := &eptNestedMMU{
 		g:       g,
 		ept12:   newShadowPT(g.Sys.L1.GPA),
-		ept02:   newShadowPT(g.Sys.Host.HPA),
+		ept02:   newShadowPT(g.Sys.L1.Frames),
 		l1Lock:  g.Sys.Eng.NewLock("l1-mmu:" + g.Name),
 		backing: newFrameMap(),
 	}

@@ -8,10 +8,12 @@ import (
 )
 
 // frameMap maps guest-physical frames to the machine frames backing them
-// (host-physical on bare metal, L1-guest-physical when nested). The frames
-// sit in a mem.FrameTable, where 0 marks an unbacked frame (no allocator
-// hands out frame 0). Determinism is unaffected: which frame backs a given
-// gpa depends only on the (virtually serialized) order of allocator calls.
+// (Guest.machineFrames: the guest VM's own host frames on bare metal, L1
+// guest-physical when nested). The frames sit in a mem.FrameTable, where 0
+// marks an unbacked frame (no allocator hands out frame 0). Determinism is
+// unaffected: which frame backs a given gpa depends only on the order of
+// allocator calls: virtually serialized, or for a bound bare-metal guest
+// its vCPU's program order.
 //
 // One mutex guards the table: a map belongs to one guest's mmu strategy,
 // and every System has its own guests, so only the vCPUs of one guest share

@@ -6,7 +6,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/pagetable"
 	"repro/internal/tlb"
@@ -27,8 +26,8 @@ type pvmMMU struct {
 	sw    *core.Switcher
 	locks *core.LockSet
 
-	// backing maps L2 guest-physical frames to host-physical (BM) or L1
-	// guest-physical (NST) frames.
+	// backing maps L2 guest-physical frames to the frames the shadow
+	// leaves point at (Guest.machineFrames).
 	backing *frameMap
 }
 
@@ -43,7 +42,7 @@ func newPVMMMU(g *Guest, nested bool) *pvmMMU {
 		locks:   core.NewLockSet(g.Sys.Eng, g.Name, mode),
 		backing: newFrameMap(),
 	}
-	m.sw = core.NewSwitcher(m.tableAlloc())
+	m.sw = core.NewSwitcher(g.machineFrames())
 	return m
 }
 
@@ -52,13 +51,6 @@ func (m *pvmMMU) Switcher() *core.Switcher { return m.sw }
 
 // Locks exposes the guest's shadow lock set.
 func (m *pvmMMU) Locks() *core.LockSet { return m.locks }
-
-func (m *pvmMMU) tableAlloc() *mem.Allocator {
-	if m.nested {
-		return m.g.Sys.L1.GPA
-	}
-	return m.g.Sys.Host.HPA
-}
 
 func (m *pvmMMU) register(p *guest.Process) {
 	g := m.g
@@ -75,7 +67,7 @@ func (m *pvmMMU) register(p *guest.Process) {
 	// Dual shadow page tables: PVM simulates KPTI for the L2 guest at
 	// the hypervisor level, isolating guest user from guest kernel
 	// (§3.3.2); the switcher is mapped global into both.
-	d.shadow = core.NewShadowSpace(m.tableAlloc(), m.sw)
+	d.shadow = core.NewShadowSpace(g.machineFrames(), m.sw)
 	d.sptUser = d.shadow.User
 	d.sptKernel = d.shadow.Kernel
 	p.PlatformData = d
@@ -93,7 +85,7 @@ func (m *pvmMMU) unregister(p *guest.Process) {
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.Meta
 	}
-	lock.With(p.CPU, hold, func() {
+	m.g.withFrames(lock, p.CPU, hold, func() {
 		if err := d.shadow.Destroy(); err != nil {
 			panic(err)
 		}
@@ -395,7 +387,7 @@ func (m *pvmMMU) fixSPT(p *guest.Process, d *procData, va arch.VA, prefault bool
 	}
 	install := func() (target arch.PFN) {
 		var alloced bool
-		target, alloced = m.backing.getOrAlloc(ge.PFN, m.allocBacking)
+		target, alloced = m.backing.getOrAlloc(ge.PFN, g.machineFrames().MustAlloc)
 		hold := fixBody
 		if alloced {
 			hold += prm.FrameAlloc
@@ -407,10 +399,10 @@ func (m *pvmMMU) fixSPT(p *guest.Process, d *procData, va arch.VA, prefault bool
 	var target arch.PFN
 	if m.locks.Mode == core.FineLock {
 		m.locks.Meta.With(c, prm.MetaHold, nil)
-		m.locks.PT(p.PID, va).With(c, 0, func() { target = install() })
+		g.withFrames(m.locks.PT(p.PID, va), c, 0, func() { target = install() })
 		m.locks.Rmap(ge.PFN).With(c, prm.RmapHold, nil)
 	} else {
-		m.locks.Coarse.With(c, prm.MetaHold+prm.RmapHold, func() { target = install() })
+		g.withFrames(m.locks.Coarse, c, prm.MetaHold+prm.RmapHold, func() { target = install() })
 	}
 	if prefault {
 		g.Sys.Ctr.Prefaults.Add(1)
@@ -419,14 +411,6 @@ func (m *pvmMMU) fixSPT(p *guest.Process, d *procData, va arch.VA, prefault bool
 	if m.nested {
 		g.Sys.L1.EnsureBacking(c, target)
 	}
-}
-
-// allocBacking draws a fresh backing frame from hypervisor memory.
-func (m *pvmMMU) allocBacking() arch.PFN {
-	if m.nested {
-		return m.g.Sys.L1.GPA.MustAlloc()
-	}
-	return m.g.Sys.Host.HPA.MustAlloc()
 }
 
 func (m *pvmMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
@@ -441,15 +425,9 @@ func (m *pvmMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.Rmap(gpa)
 	}
-	lock.With(p.CPU, g.Sys.Prm.RmapHold, func() {
-		if m.nested {
-			if _, err := g.Sys.L1.GPA.Free(t); err != nil {
-				panic(err)
-			}
-		} else {
-			if _, err := g.Sys.Host.HPA.Free(t); err != nil {
-				panic(err)
-			}
+	g.withFrames(lock, p.CPU, g.Sys.Prm.RmapHold, func() {
+		if _, err := g.machineFrames().Free(t); err != nil {
+			panic(err)
 		}
 	})
 }

@@ -90,9 +90,9 @@ func TestPVMFlushRangeShootdownEmptiesTLB(t *testing.T) {
 }
 
 // releasePage must return the backing frame to its allocator (L1
-// guest-physical when nested, host-physical on bare metal), drop the
-// gpa→frame mapping, and tolerate double release (free-page reporting can
-// race with exit teardown in the modeled kernel).
+// guest-physical when nested, the guest VM's host frames on bare metal),
+// drop the gpa→frame mapping, and tolerate double release (free-page
+// reporting can race with exit teardown in the modeled kernel).
 func TestPVMReleasePageFreesBackingFrame(t *testing.T) {
 	for _, cfg := range []Config{PVMBM, PVMNST} {
 		s := NewSystem(cfg, DefaultOptions())
@@ -100,7 +100,7 @@ func TestPVMReleasePageFreesBackingFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc := s.Host.HPA
+		alloc := g.VM().Frames
 		if cfg.Nested() {
 			alloc = s.L1.GPA
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/mem"
 	"repro/internal/pagetable"
 	"repro/internal/tlb"
 	"repro/internal/trace"
@@ -30,7 +29,7 @@ type pvmDirectMMU struct {
 	sw    *core.Switcher
 	locks *core.LockSet
 
-	// backing maps l2gpa → machine (hpa or l1gpa) frame.
+	// backing maps l2gpa → machine frame (Guest.machineFrames).
 	backing *frameMap
 }
 
@@ -45,19 +44,12 @@ func newPVMDirectMMU(g *Guest, nested bool) *pvmDirectMMU {
 		locks:   core.NewLockSet(g.Sys.Eng, g.Name, mode),
 		backing: newFrameMap(),
 	}
-	m.sw = core.NewSwitcher(m.tableAlloc())
+	m.sw = core.NewSwitcher(g.machineFrames())
 	return m
 }
 
 // Switcher exposes the guest's switcher.
 func (m *pvmDirectMMU) Switcher() *core.Switcher { return m.sw }
-
-func (m *pvmDirectMMU) tableAlloc() *mem.Allocator {
-	if m.nested {
-		return m.g.Sys.L1.GPA
-	}
-	return m.g.Sys.Host.HPA
-}
 
 func (m *pvmDirectMMU) register(p *guest.Process) {
 	g := m.g
@@ -71,7 +63,7 @@ func (m *pvmDirectMMU) register(p *guest.Process) {
 		d.pcidUser = arch.PCID(p.PID) % arch.MaxPCID
 		d.pcidKernel = d.pcidUser
 	}
-	mpt := newShadowPT(m.tableAlloc())
+	mpt := newShadowPT(g.machineFrames())
 	m.sw.MapInto(mpt)
 	d.sptUser = mpt // reuse the slot: the validated machine table
 	d.sptMapper = mpt.NewMapper()
@@ -95,7 +87,7 @@ func (m *pvmDirectMMU) unregister(p *guest.Process) {
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.Meta
 	}
-	lock.With(p.CPU, hold, func() {
+	m.g.withFrames(lock, p.CPU, hold, func() {
 		if err := d.sptUser.Destroy(); err != nil {
 			panic(err)
 		}
@@ -227,7 +219,7 @@ func (m *pvmDirectMMU) applyBatch(p *guest.Process, d *procData) {
 		lock = m.locks.PT(p.PID, log[0].VA)
 	}
 	per := prm.PVMEmulWrite / 3
-	lock.With(c, int64(len(log))*per, func() {
+	g.withFrames(lock, c, int64(len(log))*per, func() {
 		for _, ev := range log {
 			if !ev.Leaf {
 				continue
@@ -248,7 +240,7 @@ func (m *pvmDirectMMU) validate(p *guest.Process, d *procData, va arch.VA, ge pa
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.PT(p.PID, va)
 	}
-	lock.With(p.CPU, m.g.Sys.Prm.PVMSPTFix, func() {
+	m.g.withFrames(lock, p.CPU, m.g.Sys.Prm.PVMSPTFix, func() {
 		m.install(p, d, va, ge)
 	})
 	m.g.Sys.Ctr.ShadowFaults.Add(1)
@@ -256,7 +248,7 @@ func (m *pvmDirectMMU) validate(p *guest.Process, d *procData, va arch.VA, ge pa
 
 // install writes the validated machine mapping for va.
 func (m *pvmDirectMMU) install(p *guest.Process, d *procData, va arch.VA, ge pagetable.Entry) {
-	target, _ := m.backing.getOrAlloc(ge.PFN, m.allocBacking)
+	target, _ := m.backing.getOrAlloc(ge.PFN, m.g.machineFrames().MustAlloc)
 	flags := pagetable.User
 	if ge.Flags.Has(pagetable.Writable) {
 		flags |= pagetable.Writable
@@ -323,14 +315,6 @@ func (m *pvmDirectMMU) dirtyCollect(p *guest.Process) []arch.VA {
 
 func (m *pvmDirectMMU) dirtyStop(p *guest.Process) { m.g.shadowDirtyStop(p, m.dirtyOps(p)) }
 
-// allocBacking draws a fresh backing frame from hypervisor memory.
-func (m *pvmDirectMMU) allocBacking() arch.PFN {
-	if m.nested {
-		return m.g.Sys.L1.GPA.MustAlloc()
-	}
-	return m.g.Sys.Host.HPA.MustAlloc()
-}
-
 func (m *pvmDirectMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	g := m.g
 	d := pd(p)
@@ -343,15 +327,9 @@ func (m *pvmDirectMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	if m.locks.Mode == core.FineLock {
 		lock = m.locks.Rmap(gpa)
 	}
-	lock.With(p.CPU, g.Sys.Prm.RmapHold, func() {
-		if m.nested {
-			if _, err := g.Sys.L1.GPA.Free(t); err != nil {
-				panic(err)
-			}
-		} else {
-			if _, err := g.Sys.Host.HPA.Free(t); err != nil {
-				panic(err)
-			}
+	g.withFrames(lock, p.CPU, g.Sys.Prm.RmapHold, func() {
+		if _, err := g.machineFrames().Free(t); err != nil {
+			panic(err)
 		}
 	})
 }

@@ -37,8 +37,7 @@ type sptMMU struct {
 	mmuLock *vclock.Lock
 
 	// backing maps L2 guest-physical frames to the frames the shadow
-	// leaves point at: host-physical on bare metal, L1 guest-physical
-	// when nested.
+	// leaves point at (Guest.machineFrames).
 	backing *frameMap
 }
 
@@ -60,14 +59,6 @@ func (m *sptMMU) hold(ns int64) int64 {
 		return ns
 	}
 	return ns * m.g.Sys.Prm.NestedSPTHoldPct / 100
-}
-
-// tableAlloc returns the frame source for shadow tables: hypervisor memory.
-func (m *sptMMU) tableAlloc() *mem.Allocator {
-	if m.nested {
-		return m.g.Sys.L1.GPA
-	}
-	return m.g.Sys.Host.HPA
 }
 
 // exit and entry are one leg of a guest↔hypervisor trip in this
@@ -93,10 +84,10 @@ func (m *sptMMU) register(p *guest.Process) {
 		tlb:      tlb.New(m.g.Sys.Opt.TLBEntries),
 		pcidUser: arch.PCID(p.PID) % arch.MaxPCID,
 	}
-	d.sptUser = newShadowPT(m.tableAlloc())
+	d.sptUser = newShadowPT(m.g.machineFrames())
 	d.sptMapper = d.sptUser.NewMapper()
 	if m.g.Sys.Opt.KPTI {
-		d.sptKernel = newShadowPT(m.tableAlloc())
+		d.sptKernel = newShadowPT(m.g.machineFrames())
 	}
 	p.PlatformData = d
 	// Write-protect the guest page table: every store traps.
@@ -118,7 +109,7 @@ func (m *sptMMU) unregister(p *guest.Process) {
 	prm := &m.g.Sys.Prm
 	hold := m.hold(prm.SPTFix) + int64(d.sptUser.CountMapped())*prm.SPTZapLeaf
 	d.sptMapper.Reset() // cached leaf must not outlive Destroy
-	m.mmuLock.With(p.CPU, hold, func() {
+	m.g.withFrames(m.mmuLock, p.CPU, hold, func() {
 		if err := d.sptUser.Destroy(); err != nil {
 			panic(err)
 		}
@@ -270,8 +261,8 @@ func (m *sptMMU) fixSPT(p *guest.Process, d *procData, va arch.VA) {
 	}
 	var l1gpa arch.PFN
 	hold := m.hold(prm.SPTFix)
-	m.mmuLock.With(c, 0, func() {
-		target, alloced := m.backing.getOrAlloc(ge.PFN, m.allocBacking)
+	m.g.withFrames(m.mmuLock, c, 0, func() {
+		target, alloced := m.backing.getOrAlloc(ge.PFN, m.g.machineFrames().MustAlloc)
 		if alloced {
 			hold += prm.FrameAlloc
 		}
@@ -293,14 +284,6 @@ func (m *sptMMU) fixSPT(p *guest.Process, d *procData, va arch.VA) {
 	}
 }
 
-// allocBacking draws a fresh backing frame from hypervisor memory.
-func (m *sptMMU) allocBacking() arch.PFN {
-	if m.nested {
-		return m.g.Sys.L1.GPA.MustAlloc()
-	}
-	return m.g.Sys.Host.HPA.MustAlloc()
-}
-
 func (m *sptMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	g := m.g
 	d := pd(p)
@@ -309,15 +292,9 @@ func (m *sptMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	if !ok {
 		return
 	}
-	m.mmuLock.With(p.CPU, g.Sys.Prm.EPTFix/2, func() {
-		if m.nested {
-			if _, err := g.Sys.L1.GPA.Free(t); err != nil {
-				panic(err)
-			}
-		} else {
-			if _, err := g.Sys.Host.HPA.Free(t); err != nil {
-				panic(err)
-			}
+	g.withFrames(m.mmuLock, p.CPU, g.Sys.Prm.EPTFix/2, func() {
+		if _, err := g.machineFrames().Free(t); err != nil {
+			panic(err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"repro/internal/arch"
 	"repro/internal/guest"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -65,7 +64,7 @@ func (g *Guest) l2ToL1(c *vclock.CPU) {
 	}
 	// The handler alternates reads and writes, starting with a read.
 	n := prm.VMCSAccessesPerExit
-	g.vmcs12.Access(arch.NonRootMode, (n+1)/2, n/2)
+	g.vmcs12.Access((n+1)/2, n/2)
 	if !g.vmcs12.Shadowed {
 		ctr.L0Exits.Add(int64(n))
 		c.AdvanceLazy(int64(n) * (2*prm.SwitchHW + prm.VMCSAccess))

@@ -40,11 +40,6 @@ var boundAblations = []struct {
 // decides whether the guest is bound to the vCPU first; nothing else
 // differs between the two runs.
 func sandboxLife(g *backend.Guest, idx int, bind bool) func(*vclock.CPU) {
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
 	return func(cpu *vclock.CPU) {
 		if bind {
 			must(g.Bind(cpu))
@@ -92,11 +87,20 @@ func sandboxLife(g *backend.Guest, idx int, bind bool) func(*vclock.CPU) {
 	}
 }
 
-// runSandboxFleet deploys size sandboxes on a fresh traced System, starts
-// them staggered under Engine.Hold as container.DeployFleet does, and
-// captures the outcome together with every guest VM's mmu_lock statistics
+// must panics on err inside a sandbox's vCPU; the engine reports the panic
+// through Engine.Err.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// runSandboxFleet deploys size sandboxes, each running life (sandboxLife
+// or another body of the same shape), on a fresh System, starts them
+// staggered under Engine.Hold as container.DeployFleet does, and captures
+// the outcome together with every guest VM's mmu_lock statistics
 // (per-guest VMs on bare metal, the shared L1 instance when nested).
-func runSandboxFleet(t *testing.T, cfg backend.Config, opt backend.Options, size int, bind bool) (Observation, []vclock.LockStats) {
+func runSandboxFleet(t *testing.T, cfg backend.Config, opt backend.Options, size int, life func(g *backend.Guest, idx int, bind bool) func(*vclock.CPU), bind bool) (Observation, []vclock.LockStats) {
 	t.Helper()
 	sys := backend.NewSystem(cfg, opt)
 	gs := make([]*backend.Guest, size)
@@ -109,7 +113,7 @@ func runSandboxFleet(t *testing.T, cfg backend.Config, opt backend.Options, size
 	}
 	release := sys.Eng.Hold()
 	for i, g := range gs {
-		sys.Eng.Go(int64(i)*10_000, sandboxLife(g, i, bind))
+		sys.Eng.Go(int64(i)*10_000, life(g, i, bind))
 	}
 	release()
 	sys.Eng.Wait()
@@ -147,8 +151,8 @@ func TestBoundFleetDifferential(t *testing.T) {
 					opt.DirectPaging = bc.direct
 					opt.TraceEvents = 1 << 14
 					ab.set(&opt)
-					free, freeLocks := runSandboxFleet(t, bc.cfg, opt, size, false)
-					bound, boundLocks := runSandboxFleet(t, bc.cfg, opt, size, true)
+					free, freeLocks := runSandboxFleet(t, bc.cfg, opt, size, sandboxLife, false)
+					bound, boundLocks := runSandboxFleet(t, bc.cfg, opt, size, sandboxLife, true)
 					if d := Diff(free, bound); d != "" {
 						t.Fatalf("binding changed observables: %s", d)
 					}
@@ -161,5 +165,49 @@ func TestBoundFleetDifferential(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBoundBareMetalGatesIgnorePages pins where a bound sandbox still pays
+// global ordering per page. Each sandbox of a bound 4-sandbox fleet maps,
+// touches and unmaps a heap of the given size. On bare metal every frame a
+// page costs (backing, shadow table, EPT01) comes from the sandbox VM's own
+// allocator, so the fleet pays the same number of gates at 64 pages as at
+// 256. Nested, those frames are the shared L1 instance's and each draw and
+// return still gates, so the count grows with the heap: the boundary of
+// what binding can elide.
+func TestBoundBareMetalGatesIgnorePages(t *testing.T) {
+	heapLife := func(pages int) func(*backend.Guest, int, bool) func(*vclock.CPU) {
+		return func(g *backend.Guest, _ int, bind bool) func(*vclock.CPU) {
+			return func(cpu *vclock.CPU) {
+				if bind {
+					must(g.Bind(cpu))
+				}
+				p, err := g.Kern.StartProcess(cpu, 8)
+				must(err)
+				heap := p.Mmap(pages)
+				p.TouchRange(heap, pages, true)
+				must(p.Munmap(heap, pages))
+				must(p.Exit())
+			}
+		}
+	}
+	for _, bc := range backendChoices {
+		t.Run(bc.name, func(t *testing.T) {
+			opt := backend.DefaultOptions()
+			opt.DirectPaging = bc.direct
+			gates := func(pages int) int64 {
+				o, _ := runSandboxFleet(t, bc.cfg, opt, 4, heapLife(pages), true)
+				return o.Gates
+			}
+			small, large := gates(64), gates(256)
+			t.Logf("gates: %d at 64 pages, %d at 256", small, large)
+			switch {
+			case !bc.cfg.Nested() && small != large:
+				t.Fatalf("bound bare-metal fleet paid %d gates at 64 pages but %d at 256: a page still gates", small, large)
+			case bc.cfg.Nested() && large <= small:
+				t.Fatalf("nested fleet paid %d gates at 64 pages and %d at 256: L1 frames no longer gate per page", small, large)
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 // Package hv implements the simulator's L0 host hypervisor: a KVM-like
-// kernel module owning the machine's physical frames and, for each hosted
-// VM, the extended page table (EPT01) translating that VM's guest-physical
-// addresses to host-physical addresses.
+// kernel module that, for each hosted VM, owns the host-physical frames it
+// spends on that VM and the extended page table (EPT01) translating the
+// VM's guest-physical addresses to them.
 //
 // In nested deployments the L0 hypervisor additionally owns the per-L1-VM
 // mmu_lock under which *all* nested EPT maintenance for that VM's L2 guests
@@ -27,7 +27,6 @@ type Host struct {
 	Eng *vclock.Engine
 	Prm cost.Params
 	Ctr *metrics.Counters
-	HPA *mem.Allocator // host-physical frames
 
 	// Warm, when set, installs EPT01 translations silently (no exit, no
 	// cost), modeling the paper's standing assumption that the L1 VM has
@@ -46,13 +45,12 @@ type Host struct {
 	nextVPID arch.VPID
 }
 
-// NewHost creates a host with hpaFrames of physical memory (0 = unlimited).
-func NewHost(eng *vclock.Engine, prm cost.Params, ctr *metrics.Counters, hpaFrames int64) *Host {
+// NewHost creates a host.
+func NewHost(eng *vclock.Engine, prm cost.Params, ctr *metrics.Counters) *Host {
 	return &Host{
 		Eng:      eng,
 		Prm:      prm,
 		Ctr:      ctr,
-		HPA:      mem.NewAllocator("hpa", hpaFrames, 0x100000),
 		nextVPID: 1,
 	}
 }
@@ -62,6 +60,15 @@ func NewHost(eng *vclock.Engine, prm cost.Params, ctr *metrics.Counters, hpaFram
 type VM struct {
 	Name string
 	Host *Host
+
+	// Frames are the host-physical frames L0 spends on this VM: EPT01's
+	// tables and backing frames, the backing and shadow-table frames of a
+	// bare-metal spt, pvm or pvm-direct guest, and on the L1 instance the
+	// EPT02 tables of its L2 guests. Which host frame backs a page is
+	// observable nowhere (no trace field, metric or charge reads it), so
+	// each VM numbers its frames on its own: numbers are unique per VM,
+	// and no structure holds two VMs' host frames.
+	Frames *mem.Allocator
 
 	// EPT01 maps the VM's guest-physical pages to host-physical pages.
 	// It is indexed by GPA expressed as an address.
@@ -84,13 +91,15 @@ type VM struct {
 // NewVM registers a VM with gpaFrames of guest-physical memory (0 =
 // unlimited).
 func (h *Host) NewVM(name string, gpaFrames int64) (*VM, error) {
-	ept, err := pagetable.New(h.HPA)
+	frames := mem.NewAllocator("hpa:"+name, 0, 0x100000)
+	ept, err := pagetable.New(frames)
 	if err != nil {
 		return nil, fmt.Errorf("hv: allocating EPT01 for %s: %w", name, err)
 	}
 	vm := &VM{
 		Name:    name,
 		Host:    h,
+		Frames:  frames,
 		EPT01:   ept,
 		MMULock: h.Eng.NewLock("l0-mmu:" + name),
 		VMCS01:  vmx.NewVMCS("vmcs01:" + name),
@@ -107,11 +116,11 @@ func (h *Host) NewVM(name string, gpaFrames int64) (*VM, error) {
 func (h *Host) VMs() []*VM { return h.vms }
 
 // Bind dedicates the VM to vCPU c: the VM of a sandbox guest whose every
-// process runs on c, so its EPT01 and mmu_lock are reachable from c alone.
-// The mmu_lock becomes c's (vclock.Lock.Own), and EnsureBacking and
-// ReleaseBacking stop ordering c's EPT01 probes and exit legs globally; the
-// host frames they draw or return still gate. Never bind the nested L1
-// instance, which every L2 guest shares.
+// process runs on c, so its EPT01, host frames and mmu_lock are reachable
+// from c alone. The mmu_lock becomes c's (vclock.Lock.Own), and
+// EnsureBacking and ReleaseBacking stop ordering c's EPT01 probes, exit legs
+// and frame draws and returns globally. Never bind the nested L1 instance,
+// which every L2 guest shares.
 func (vm *VM) Bind(c *vclock.CPU) { vm.MMULock.Own(c) }
 
 // ownedBy reports whether vm is bound to c.
@@ -161,11 +170,7 @@ func (vm *VM) EnsureBacking(c *vclock.CPU, gpa arch.PFN) (arch.PFN, bool) {
 		return hpa, false
 	}
 	if vm.Host.Warm {
-		if owned {
-			c.Sync() // the silent install draws a host frame
-		}
-		hpa := vm.mapBacking(gpa)
-		return hpa, false
+		return vm.mapBacking(gpa), false
 	}
 	p := &vm.Host.Prm
 	ctr := vm.Host.Ctr
@@ -174,7 +179,9 @@ func (vm *VM) EnsureBacking(c *vclock.CPU, gpa arch.PFN) (arch.PFN, bool) {
 	ctr.L0Exits.Add(1)
 	c.Order(p.SwitchHW, owned)
 	var hpa arch.PFN
-	vm.MMULock.With(c, p.FrameAlloc+p.EPTFix, func() {
+	// The body touches only this VM's EPT01 and frames: private to the
+	// vCPU a VM is bound to, gated on any other (the L1 instance).
+	vm.MMULock.WithPrivate(c, p.FrameAlloc+p.EPTFix, func() {
 		// Re-check under the lock: another vCPU that missed the same
 		// frame (or its huge-page block) in the gate-to-grant window has
 		// already installed the mapping; it still cost this vCPU a full
@@ -198,13 +205,13 @@ func (vm *VM) mapBacking(gpa arch.PFN) arch.PFN {
 	if vm.Host.HugeEPT {
 		// Reserve a 512-frame host block for the 2 MiB region; the
 		// block's base frame stands for the whole allocation.
-		base := vm.Host.HPA.MustAlloc()
+		base := vm.Frames.MustAlloc()
 		if _, err := vm.EPT01.MapLarge(gpaKey(gpa), base, pagetable.Writable|pagetable.User); err != nil {
 			panic(err)
 		}
 		return base + gpa&(arch.EntriesPerTable-1)
 	}
-	hpa := vm.Host.HPA.MustAlloc()
+	hpa := vm.Frames.MustAlloc()
 	if _, err := vm.EPT01.Map(gpaKey(gpa), hpa, pagetable.Writable|pagetable.User); err != nil {
 		panic(err)
 	}
@@ -216,9 +223,8 @@ func (vm *VM) mapBacking(gpa arch.PFN) arch.PFN {
 // asynchronous worker in real systems; the caller charges only the brief
 // critical section under the VM's mmu_lock.
 func (vm *VM) ReleaseBacking(c *vclock.CPU, gpa arch.PFN) bool {
-	// Gate before probing shared EPT01 state, as in EnsureBacking. The
-	// frame release itself runs in a With body, which gates even on a VM
-	// bound to c.
+	// Gate before probing shared EPT01 state, as in EnsureBacking; the
+	// release body, like EnsureBacking's, is private to a VM bound to c.
 	c.Order(0, vm.ownedBy(c))
 	if vm.Host.HugeEPT {
 		if _, ok := vm.EPT01.LookupLarge(gpaKey(gpa)); !ok {
@@ -226,7 +232,7 @@ func (vm *VM) ReleaseBacking(c *vclock.CPU, gpa arch.PFN) bool {
 		}
 		// KVM-style huge-spte invalidation: the whole block is zapped
 		// and freed; surviving neighbours refault later.
-		vm.MMULock.With(c, vm.Host.Prm.EPTFix/2, func() {
+		vm.MMULock.WithPrivate(c, vm.Host.Prm.EPTFix/2, func() {
 			// A neighbour's release may have zapped the block in the
 			// gate-to-grant window (the invalidation is then a no-op),
 			// and a neighbour's fault may have mapped it afresh since:
@@ -236,7 +242,7 @@ func (vm *VM) ReleaseBacking(c *vclock.CPU, gpa arch.PFN) bool {
 				return
 			}
 			vm.EPT01.UnmapLarge(gpaKey(gpa))
-			if _, err := vm.Host.HPA.Free(e.PFN); err != nil {
+			if _, err := vm.Frames.Free(e.PFN); err != nil {
 				panic(err)
 			}
 		})
@@ -246,9 +252,9 @@ func (vm *VM) ReleaseBacking(c *vclock.CPU, gpa arch.PFN) bool {
 	if !ok {
 		return false
 	}
-	vm.MMULock.With(c, vm.Host.Prm.EPTFix/2, func() {
+	vm.MMULock.WithPrivate(c, vm.Host.Prm.EPTFix/2, func() {
 		vm.EPT01.Unmap(gpaKey(gpa))
-		if _, err := vm.Host.HPA.Free(e.PFN); err != nil {
+		if _, err := vm.Frames.Free(e.PFN); err != nil {
 			panic(err)
 		}
 	})

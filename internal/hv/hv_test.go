@@ -12,7 +12,7 @@ import (
 func newHost() (*Host, *vclock.Engine, *metrics.Counters) {
 	eng := vclock.NewEngine()
 	ctr := &metrics.Counters{}
-	return NewHost(eng, cost.Default(), ctr, 0), eng, ctr
+	return NewHost(eng, cost.Default(), ctr), eng, ctr
 }
 
 func TestEPTViolationChoreography(t *testing.T) {
@@ -85,14 +85,14 @@ func TestReleaseBackingFreesHostFrame(t *testing.T) {
 	}
 	eng.Go(0, func(c *vclock.CPU) {
 		vm.EnsureBacking(c, 9)
-		inUse := h.HPA.InUse()
+		inUse := vm.Frames.InUse()
 		if !vm.ReleaseBacking(c, 9) {
 			t.Error("release of backed frame failed")
 		}
 		if vm.HasBacking(9) {
 			t.Error("backing survives release")
 		}
-		if h.HPA.InUse() != inUse-1 {
+		if vm.Frames.InUse() != inUse-1 {
 			t.Error("host frame not freed")
 		}
 		if vm.ReleaseBacking(c, 9) {
@@ -133,6 +133,9 @@ func TestMMULockSerializesEPTFixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const procs = 4
+	// Admit every vCPU before any runs: a vCPU admitted at time 0 while an
+	// earlier one runs ahead could probe EPT01 beside its mmu_lock body.
+	release := eng.Hold()
 	for i := 0; i < procs; i++ {
 		gpa := arch.PFN(i * 100)
 		eng.Go(0, func(c *vclock.CPU) {
@@ -141,6 +144,7 @@ func TestMMULockSerializesEPTFixes(t *testing.T) {
 			}
 		})
 	}
+	release()
 	eng.Wait()
 	st := vm.MMULock.Stats()
 	if st.Acquisitions != procs*10 {

@@ -1,7 +1,7 @@
 // Package mem provides the physical-memory substrate of the simulator:
-// refcounted page-frame allocators for each physical layer (host physical,
-// L1 guest physical, L2 guest physical), and FrameTable, which keeps a
-// value per frame for the layers above them.
+// refcounted page-frame allocators for each physical layer (host physical
+// per VM, L1 guest physical, L2 guest physical), and FrameTable, which keeps
+// a value per frame for the layers above them.
 //
 // Frames are identified by arch.PFN. The allocator tracks reference counts so
 // higher layers can model copy-on-write sharing (fork) and page-table frame
@@ -22,16 +22,24 @@ import (
 // ErrOutOfMemory is returned when an allocator has reached its frame limit.
 var ErrOutOfMemory = errors.New("mem: out of physical frames")
 
-// Allocator hands out page frames of one physical layer.
+// Allocator hands out page frames of one physical layer for one owner: one
+// VM's guest-physical frames, one nested guest's, or the host frames L0
+// spends on one VM (hv.VM.Frames). Frame numbers are unique within one
+// allocator only, and no structure mixes two allocators' frames: a VM's
+// EPT01, and on bare metal its guest's shadow tables, backing map and TLB
+// entries, name that VM's host frames alone; a nested guest's EPT02 names
+// the L1 instance's.
 //
 // Allocator is safe for concurrent use. Which frame a call returns depends
 // on the order of calls, so determinism rests on that order being a
-// function of virtual time: an allocator several vCPUs share (the host's,
-// the L1 instance's) is touched only right after a gate — a Sync, or the
-// gate a virtual lock takes before its critical section — so calls land in
-// (clock, id) order. The guest-physical allocator of a guest bound to one
-// vCPU (backend.Guest.Bind) is touched by that vCPU alone and needs no gate:
-// program order fixes its sequence.
+// function of virtual time: an allocator several vCPUs share (the L1
+// instance's guest-physical and host frames, or those of a guest left
+// unbound) is touched only right after a gate — a Sync, or the gate a
+// virtual lock takes before its critical section — so calls land in
+// (clock, id) order. The allocators of a
+// guest bound to one vCPU (backend.Guest.Bind) — its guest-physical frames
+// and, on bare metal, its VM's host frames — are touched by that vCPU alone
+// and need no gate: program order fixes their sequence.
 type Allocator struct {
 	mu    sync.Mutex
 	name  string

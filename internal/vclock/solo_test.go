@@ -78,6 +78,38 @@ func TestSoloReentryAfterPeerDone(t *testing.T) {
 	}
 }
 
+// TestSoloGrantClearedAtDeparture: a vCPU whose last ordering point was
+// elided (an owned lock's release) waits in Done until it is the root. Its
+// peer's Done then leaves it as the sole runnable vCPU and grants it the
+// solo path while it is still parked there; Done must revoke that grant
+// before the vCPU leaves the heap, or a grant stands with nothing runnable.
+func TestSoloGrantClearedAtDeparture(t *testing.T) {
+	e := NewEngine()
+	l := e.NewLock("own")
+	release := e.Hold()
+	a := e.Go(0, func(a *CPU) {
+		l.Acquire(a)
+		a.AdvanceLazy(100)
+		l.Release(a)
+	})
+	l.Own(a)
+	e.Go(0, func(b *CPU) {
+		b.Advance(10)
+		b.Advance(10)
+	})
+	release()
+	e.Wait()
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if m := e.Makespan(); m != 100 {
+		t.Fatalf("makespan = %d, want 100", m)
+	}
+}
+
 // TestSoloLockIntentDuringHold: a solo vCPU acquires a lock on the fast
 // path, then a newly admitted peer registers a lock intent (pendingLock)
 // behind it. The admission revokes the grant, the intent is applied inline

@@ -865,9 +865,6 @@ func (c *CPU) Done() {
 	e := c.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.solo == c {
-		e.exitSoloLocked()
-	}
 	if c.mark >= 0 && c.hi >= 0 && !e.aborted {
 		// The vCPU elided ordering points after its last gated operation
 		// (owned locks, private Orders), so its heap key lags the last of
@@ -891,6 +888,11 @@ func (c *CPU) Done() {
 			}
 			e.parkLocked(c)
 		}
+	}
+	// Revoke only now: while c was parked above, the last peer's Done may
+	// have granted c the solo path as the sole runnable vCPU.
+	if e.solo == c {
+		e.exitSoloLocked()
 	}
 	c.flushLazyLocked()
 	if c.hi >= 0 {

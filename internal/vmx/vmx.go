@@ -87,9 +87,9 @@ type CPUState struct {
 // structure is *not* hardware-shadowed and the accessor runs in non-root
 // mode, each access traps to L0. The caller charges those traps (the
 // backend adds one L0 exit and round trip per access to the nested exit it
-// models); the OnTrappedAccess hook, when set, only observes them. This
-// reproduces the motivation for VMCS shadowing: handling one L2 world switch
-// touches the VMCS dozens of times (§2.1, 40–50 exits without shadowing).
+// models). This reproduces the motivation for VMCS shadowing: handling one
+// L2 world switch touches the VMCS dozens of times (§2.1, 40–50 exits
+// without shadowing).
 type VMCS struct {
 	Name string
 
@@ -104,10 +104,6 @@ type VMCS struct {
 	// non-root VMREAD/VMWRITE do not trap.
 	Shadowed bool
 
-	// OnTrappedAccess, when set, is invoked for each non-root access to
-	// a non-shadowed VMCS (the L0 trap path).
-	OnTrappedAccess func()
-
 	reads  atomic.Int64
 	writes atomic.Int64
 	merges atomic.Int64
@@ -116,17 +112,10 @@ type VMCS struct {
 // NewVMCS returns a named, zeroed VMCS.
 func NewVMCS(name string) *VMCS { return &VMCS{Name: name} }
 
-// Access models reads VMREADs and writes VMWRITEs performed from the given
-// mode. Both counts are added in one step; OnTrappedAccess, when installed,
-// still runs once per trapped access.
-func (v *VMCS) Access(mode arch.Mode, reads, writes int) {
+// Access counts reads VMREADs and writes VMWRITEs, both in one step.
+func (v *VMCS) Access(reads, writes int) {
 	v.reads.Add(int64(reads))
 	v.writes.Add(int64(writes))
-	if mode == arch.NonRootMode && !v.Shadowed && v.OnTrappedAccess != nil {
-		for i := 0; i < reads+writes; i++ {
-			v.OnTrappedAccess()
-		}
-	}
 }
 
 // Accesses returns total reads and writes.

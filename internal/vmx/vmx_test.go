@@ -30,30 +30,20 @@ func TestExitReasonMapping(t *testing.T) {
 }
 
 func TestVMCSTrappedAccesses(t *testing.T) {
-	// Without VMCS shadowing, every non-root VMREAD/VMWRITE traps —
-	// the 40–50 exits per nested world switch the paper cites (§2.1).
+	// The L1 handler's VMREADs and VMWRITEs are counted in bulk, shadowed
+	// or not: whether they trap is the caller's charge (without VMCS
+	// shadowing, the 40–50 exits per nested world switch the paper cites,
+	// §2.1), and the counts are what it charges from.
 	v := NewVMCS("vmcs12")
-	traps := 0
-	v.OnTrappedAccess = func() { traps++ }
-	v.Access(arch.NonRootMode, 1, 1)
-	v.Access(arch.NonRootMode, 19, 19) // a bulk access traps once per access
-	if traps != 40 {
-		t.Errorf("non-shadowed accesses trapped %d times, want 40", traps)
+	v.Access(1, 1)
+	v.Access(19, 18)
+	if r, w := v.Accesses(); r != 20 || w != 19 {
+		t.Errorf("accesses = (%d, %d), want (20, 19)", r, w)
 	}
-	// Root-mode accesses never trap.
-	v.Access(arch.RootMode, 1, 1)
-	if traps != 40 {
-		t.Error("root-mode access trapped")
-	}
-	// With shadowing enabled, non-root accesses stop trapping.
 	v.Shadowed = true
-	v.Access(arch.NonRootMode, 1, 1)
-	if traps != 40 {
-		t.Error("shadowed access trapped")
-	}
-	r, w := v.Accesses()
-	if r != 22 || w != 22 {
-		t.Errorf("accesses = (%d, %d), want (22, 22)", r, w)
+	v.Access(2, 0)
+	if r, w := v.Accesses(); r != 22 || w != 19 {
+		t.Errorf("accesses after shadowed reads = (%d, %d), want (22, 19)", r, w)
 	}
 }
 
