@@ -21,8 +21,11 @@ test:
 # detector. -short selects the
 # reduced experiment grids and fuzz corpus so the race-instrumented pass
 # stays within CI budgets even at -count=2; the full grids run race-free via
-# `make test`.
+# `make test`. It first fails when gofmt would change any tracked Go file
+# (git ls-files, so untracked build trees such as .bench_build/ are skipped).
 check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/... ./internal/tlb/... ./internal/core/... ./internal/hv/...

@@ -10,20 +10,31 @@ import (
 )
 
 // This file implements the structural invariant audits behind
-// Guest.AuditProcess: per-configuration coherence checks between the
-// simulated TLB, the table the refill path reads (shadow, machine, or guest
-// table), and the guest's own page table. The checks are pure reads — no
-// stats, no cursor caches, no virtual-time charges — so an audit never
-// perturbs the simulation it inspects.
+// Guest.AuditProcess. The Guest owns the TLB front end, so it runs the two
+// TLB audits every configuration shares: tag consistency and, while dirty
+// logging is armed, the insert gate's invariant. Each strategy then adds its
+// own coherence checks between the simulated TLB, the table the refill path
+// reads (shadow, machine, or guest table), and the guest's own page table.
+// The checks are pure reads — no stats, no cursor caches, no virtual-time
+// charges — so an audit never perturbs the simulation it inspects.
 
 // AuditProcess runs the structural invariant audit for one process: TLB tag
-// consistency, TLB coherence against the table the refill path resolves
-// translations from, guest page-table A/D sanity, and shadow-vs-guest
-// coherence where the configuration maintains a shadow structure. It must be
-// called from p's own vCPU, between guest operations: the vclock engine then
-// guarantees exclusive access to the process-local state the audit reads.
+// consistency, the dirty-log insert gate, then the strategy's audit — TLB
+// coherence against the table the refill path resolves translations from,
+// guest page-table A/D sanity, and shadow-vs-guest coherence where the
+// configuration maintains a shadow structure. It must be called from p's
+// own vCPU, between guest operations: the vclock engine then guarantees
+// exclusive access to the process-local state the audit reads.
 func (g *Guest) AuditProcess(p *guest.Process) error {
-	if err := g.mmu.audit(p); err != nil {
+	d := pd(p)
+	err := auditTLBTags(g, d)
+	if err == nil {
+		err = auditDirty(d)
+	}
+	if err == nil {
+		err = g.mmu.audit(p)
+	}
+	if err != nil {
 		return fmt.Errorf("%s: pid %d: %w", g.Sys.Cfg, p.PID, err)
 	}
 	return nil
@@ -59,7 +70,7 @@ func auditTLBTags(g *Guest, d *procData) error {
 // strictPFN is set; the direct-paging machine table re-targets leaves in
 // place on COW remaps (the guest flushes by PCID only at the next flush
 // request), so read-only entries there may point at the pre-COW frame.
-func auditTLBAgainst(g *Guest, d *procData, table string,
+func auditTLBAgainst(d *procData, table string,
 	lookup func(arch.VA) (pagetable.Entry, bool), strictPFN bool) error {
 	var err error
 	d.tlb.Range(func(k tlb.Key, ent tlb.Entry) bool {
@@ -146,8 +157,8 @@ func auditShadowAgainstGuest(p *guest.Process, table string,
 // remove entries, so a TLB-hit write can never dirty an unlogged page. (The
 // converse — every writable shadow leaf being logged — is deliberately not
 // an invariant: a read fault may demand-zero a writable leaf mid-epoch; the
-// insert gate is what keeps that safe.)
-func auditDirty(g *Guest, d *procData) error {
+// insert gate in Guest.refill is what keeps that safe.)
+func auditDirty(d *procData) error {
 	if !d.dirtyArmed() {
 		return nil
 	}
@@ -171,43 +182,25 @@ func auditDirty(g *Guest, d *procData) error {
 // audit (eptMMU): the hardware walks the guest table directly, guest PTE
 // stores do not trap, and INVLPG is guest-internal (cost-only in this
 // simulator) — so simulated-TLB entries may be stale by design and only the
-// tags (and, when armed, the dirty-log write gate) are invariant.
-func (m *eptMMU) audit(p *guest.Process) error {
-	d := pd(p)
-	if err := auditTLBTags(m.g, d); err != nil {
-		return err
-	}
-	return auditDirty(m.g, d)
-}
+// Guest's TLB audits (tags and, when armed, the dirty-log write gate) hold.
+func (m *eptMMU) audit(*guest.Process) error { return nil }
 
 // audit (eptNestedMMU): as for eptMMU at the TLB. EPT12/EPT02 are per-guest
 // structures shared by every process of the guest, and their two-phase
 // violation/release choreographies leave other vCPUs suspended between the
 // tables' updates — so cross-table EPT coherence is not a per-process
 // operation-boundary invariant and is not audited here.
-func (m *eptNestedMMU) audit(p *guest.Process) error {
-	d := pd(p)
-	if err := auditTLBTags(m.g, d); err != nil {
-		return err
-	}
-	return auditDirty(m.g, d)
-}
+func (m *eptNestedMMU) audit(*guest.Process) error { return nil }
 
 // audit (sptMMU): the guest table is write-protected, so the shadow and TLB
 // track it strictly — every zap is paired with a page flush, and every
 // shadow leaf mirrors the guest leaf it was fixed from.
 func (m *sptMMU) audit(p *guest.Process) error {
 	d := pd(p)
-	if err := auditTLBTags(m.g, d); err != nil {
-		return err
-	}
-	if err := auditTLBAgainst(m.g, d, "spt", d.sptUser.Lookup, true); err != nil {
+	if err := auditTLBAgainst(d, "spt", d.sptUser.Lookup, true); err != nil {
 		return err
 	}
 	if err := auditGuestAD(p); err != nil {
-		return err
-	}
-	if err := auditDirty(m.g, d); err != nil {
 		return err
 	}
 	return auditShadowAgainstGuest(p, "spt", d.sptUser, m.backing)
@@ -220,16 +213,10 @@ func (m *sptMMU) audit(p *guest.Process) error {
 // from the shadow and flushed with every zap, so the two lag together.
 func (m *pvmMMU) audit(p *guest.Process) error {
 	d := pd(p)
-	if err := auditTLBTags(m.g, d); err != nil {
-		return err
-	}
-	if err := auditTLBAgainst(m.g, d, "pvm-spt", d.sptUser.Lookup, true); err != nil {
+	if err := auditTLBAgainst(d, "pvm-spt", d.sptUser.Lookup, true); err != nil {
 		return err
 	}
 	if err := auditGuestAD(p); err != nil {
-		return err
-	}
-	if err := auditDirty(m.g, d); err != nil {
 		return err
 	}
 	if len(d.syncLog) > 0 {
@@ -246,16 +233,10 @@ func (m *pvmMMU) audit(p *guest.Process) error {
 // writable entries only.
 func (m *pvmDirectMMU) audit(p *guest.Process) error {
 	d := pd(p)
-	if err := auditTLBTags(m.g, d); err != nil {
-		return err
-	}
-	if err := auditTLBAgainst(m.g, d, "machine-pt", d.sptUser.Lookup, false); err != nil {
+	if err := auditTLBAgainst(d, "machine-pt", d.sptUser.Lookup, false); err != nil {
 		return err
 	}
 	if err := auditGuestAD(p); err != nil {
-		return err
-	}
-	if err := auditDirty(m.g, d); err != nil {
 		return err
 	}
 	if len(d.syncLog) > 0 {

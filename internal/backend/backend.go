@@ -358,11 +358,24 @@ func (g *Guest) LiveProcs() int {
 }
 
 // mmuStrategy is the per-configuration memory-virtualization choreography.
+// The process TLB's front end is the Guest's and the same in every
+// configuration: the probe and hit-run loop (Access, AccessRange), the
+// shadow-hit prelude of spt, pvm and pvm-direct (shadowHit), the refill
+// with its dirty-log insert gate (refill), the TLB flush of a released page
+// (ReleasePage), and the TLB audits (AuditProcess). A strategy supplies
+// what differs behind it.
 type mmuStrategy interface {
 	register(p *guest.Process)
 	unregister(p *guest.Process)
-	access(p *guest.Process, va arch.VA, write bool)
-	accessRange(p *guest.Process, va arch.VA, pages int, write bool)
+
+	// resolve handles one page whose TLB probe missed and ends in
+	// Guest.refill. Under EPT it walks the guest table through r; under
+	// shadow paging it runs the shadow fault, the Guest having found no
+	// shadow leaf that permits the access (Guest.shadowHit).
+	resolve(p *guest.Process, d *procData, va arch.VA, write bool, r *pagetable.Reader)
+
+	// releasePage returns a guest frame's backing; the Guest has
+	// already flushed the page's TLB entry.
 	releasePage(p *guest.Process, va arch.VA, gpa arch.PFN)
 	flushRange(p *guest.Process, pages int)
 
@@ -373,8 +386,9 @@ type mmuStrategy interface {
 	dirtyCollect(p *guest.Process) []arch.VA
 	dirtyStop(p *guest.Process)
 
-	// audit checks the strategy's structural invariants for one process
-	// (see audit.go). Pure reads only: no costs, no stats, no caches.
+	// audit checks the strategy's own structural invariants for one
+	// process, after the Guest's TLB audits (see audit.go). Pure reads
+	// only: no costs, no stats, no caches.
 	audit(p *guest.Process) error
 
 	// bind hands the strategy's per-guest locks to c (see Guest.Bind).
@@ -520,25 +534,93 @@ func (g *Guest) FlushRange(p *guest.Process, pages int) {
 	g.mmu.flushRange(p, pages)
 }
 
-// Access implements guest.Platform.
+// Access implements guest.Platform: a TLB hit costs one unit; a miss is
+// the strategy's resolve.
 func (g *Guest) Access(p *guest.Process, va arch.VA, write bool) {
-	g.mmu.access(p, va, write)
+	d := pd(p)
+	va = va.PageDown()
+	if _, ok := d.tlb.Lookup(g.VPID, d.pcidUser, va, write); ok {
+		p.CPU.AdvanceLazy(1)
+		return
+	}
+	d.reader = d.missPT.NewReader()
+	if d.missPT == p.GPT || !g.shadowHit(p, d, va, write) {
+		g.mmu.resolve(p, d, va, write, &d.reader)
+	}
 }
 
 // AccessRange implements guest.Platform: it resolves the pages of
 // [va, va+pages·4K) in maximal same-outcome runs — one TLB probe per page
-// (batched by LookupRange), one lazy advance per hit run, and the ordinary
-// per-page miss choreography at each run boundary. Observationally it is
+// (batched by LookupRange), one lazy advance per hit run, and the
+// strategy's per-page resolve at each run boundary. Observationally it is
 // identical to pages sequential Access calls.
 func (g *Guest) AccessRange(p *guest.Process, va arch.VA, pages int, write bool) {
 	if pages <= 0 {
 		return
 	}
-	g.mmu.accessRange(p, va, pages, write)
+	c := p.CPU
+	d := pd(p)
+	va = va.PageDown()
+	d.reader = d.missPT.NewReader()
+	for i := 0; i < pages; {
+		cur := va + arch.VA(i)<<arch.PageShift
+		if n := d.tlb.LookupRange(g.VPID, d.pcidUser, cur, pages-i, write); n > 0 {
+			c.AdvanceLazy(int64(n))
+			i += n
+			if i == pages {
+				return
+			}
+			cur = va + arch.VA(i)<<arch.PageShift
+		}
+		// Run boundary: the probe for cur missed (accounted inside
+		// LookupRange).
+		if d.missPT == p.GPT || !g.shadowHit(p, d, cur, write) {
+			g.mmu.resolve(p, d, cur, write, &d.reader)
+		}
+		i++
+	}
 }
 
-// ReleasePage implements guest.Platform.
+// refill charges the hardware TLB refill — a two-dimensional walk when the
+// hardware also walks an EPT (twoD), a one-dimensional one otherwise — and
+// caches the translation e. While dirty logging is armed, a read miss must
+// not cache write permission: the leaf may be writable (freshly demand-zero
+// fixed, say), and a later TLB-hit write would dirty the page unlogged.
+func (g *Guest) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entry, write, twoD bool) {
+	if twoD {
+		c.AdvanceLazy(g.Sys.Prm.TLBRefill2D)
+	} else {
+		c.AdvanceLazy(g.Sys.Prm.TLBRefill1D)
+	}
+	w := e.Flags.Has(pagetable.Writable)
+	if d.dirtyArmed() {
+		w = w && write
+	}
+	d.tlb.Insert(g.VPID, d.pcidUser, va, tlb.Entry{PFN: e.PFN, Write: w})
+}
+
+// shadowHit is the miss path's opening under shadow paging (spt, pvm,
+// pvm-direct), where the hardware walks the hypervisor's table: it records a
+// write in the write-protect dirty lane, then refills from a leaf that
+// permits the access (SPT12 × EPT01 two-dimensionally when nested). It
+// reports whether it refilled; when not, the strategy's resolve takes the
+// shadow fault. Callers test it before the resolve interface call, so a
+// shadow hit costs no dynamic dispatch.
+func (g *Guest) shadowHit(p *guest.Process, d *procData, va arch.VA, write bool) bool {
+	g.dirtyRecordShadow(p.CPU, d, va, write)
+	e, ok := d.reader.Lookup(va)
+	if !ok || (write && !e.Flags.Has(pagetable.Writable)) {
+		return false
+	}
+	g.refill(p.CPU, d, va, e, write, g.Sys.Cfg.Nested())
+	return true
+}
+
+// ReleasePage implements guest.Platform: the page's TLB entry goes first,
+// then the strategy returns its backing.
 func (g *Guest) ReleasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
+	d := pd(p)
+	d.tlb.FlushPage(g.VPID, d.pcidUser, va)
 	g.mmu.releasePage(p, va, gpa)
 }
 
@@ -615,6 +697,16 @@ func (g *Guest) Run(start int64, imagePages int, fn func(p *guest.Process)) *vcl
 // procData is the per-process platform state shared by all strategies.
 type procData struct {
 	tlb *tlb.TLB
+
+	// missPT is the table a TLB miss reads: the guest table under EPT,
+	// the shadow or validated machine table under shadow paging (any
+	// table but p.GPT, which selects Guest.shadowHit). reader is the
+	// span-cached Reader over it, reset at the start of every Access and
+	// AccessRange. It lives here, not on the caller's stack, because its
+	// address crosses the mmuStrategy.resolve interface call: a stack
+	// Reader would escape to the heap once per call.
+	missPT *pagetable.PageTable
+	reader pagetable.Reader
 
 	// Shadow-paging state (SPT and PVM configurations). For PVM, shadow
 	// owns both tables and sptUser/sptKernel alias its halves.

@@ -11,17 +11,21 @@ import (
 	"repro/internal/vclock"
 )
 
-// The dirty-log equivalence grid pins the tentpole's central claim: the
-// write-protect lane (spt, pvm, pvmdirect) and the PML lane (ept, eptnested)
-// observe the exact same dirty sets for the same guest workload, epoch by
-// epoch. Three comparisons per cell:
+// The dirty-log equivalence grid pins dirty-page logging's central claim:
+// the write-protect lane (spt, pvm, pvmdirect) and the PML lane (ept,
+// eptnested) observe the exact same dirty sets for the same guest workload,
+// epoch by epoch, and those sets are the right ones. Four checks per cell:
 //
-//   1. Cross-backend: every configuration's per-epoch dirty sets equal the
-//      kvm-ept (BM) reference run's.
-//   2. A/D oracle (EPT lanes only, where the hardware maintains guest-table
+//   1. Known answer: the kvm-ept (BM) reference run collects each
+//      workload's expected page count per epoch. Comparing lanes with each
+//      other, or with A/D bits, cannot catch a loss every lane shares — a
+//      write that hits a writable TLB entry sets no D bit either.
+//   2. Cross-backend: every configuration's per-epoch dirty sets equal the
+//      reference run's.
+//   3. A/D oracle (EPT lanes only, where the hardware maintains guest-table
 //      dirty bits): each epoch's collected set equals a reference
 //      ScanClearDirty harvest of the guest table.
-//   3. Disarmed determinism: with the logging code compiled in but never
+//   4. Disarmed determinism: with the logging code compiled in but never
 //      armed, runs stay bit-identical (clocks, metrics, trace digest) and
 //      the dirty counters stay zero — the committed results_default.txt
 //      byte-equality in CI is the system-level form of this check.
@@ -35,28 +39,31 @@ import (
 
 // dirtyWorkloads drive writes through the paths that differ across lanes:
 // demand-zero streams larger than the PML ring (forced ring-full drains),
-// COW breaks and re-protect faults, mprotect write-permission cycling, and
-// munmap/refault. Each calls epoch() at its collection boundaries.
+// COW breaks and re-protect faults, mprotect write-permission cycling,
+// munmap/refault, and writes over read-installed translations. Each calls
+// epoch() at its collection boundaries; want is the page count each epoch
+// must collect.
 var dirtyWorkloads = []struct {
 	name string
+	want []int
 	body func(p *guest.Process, epoch func())
 }{
-	{"mmap-stream", func(p *guest.Process, epoch func()) {
+	{"mmap-stream", []int{600, 200}, func(p *guest.Process, epoch func()) {
 		// 600 write faults > pmlRingSize: the PML lane must drain
 		// mid-epoch and still report the same set.
 		const n = 600
 		base := p.Mmap(n)
 		p.TouchRange(base, n, true)
-		epoch() // n pages
+		epoch()
 		p.TouchRange(base, 200, true)
 		p.TouchRange(base+300*arch.PageSize, 100, false) // reads never dirty
-		epoch()                                          // 200 pages
+		epoch()
 	}},
-	{"cow-fork", func(p *guest.Process, epoch func()) {
+	{"cow-fork", []int{96, 96}, func(p *guest.Process, epoch func()) {
 		const n = 96
 		base := p.Mmap(n)
 		p.TouchRange(base, n, true)
-		epoch() // n pages
+		epoch()
 		child, err := p.Fork(nil)
 		if err != nil {
 			panic(err)
@@ -66,13 +73,13 @@ var dirtyWorkloads = []struct {
 			panic(err)
 		}
 		p.TouchRange(base, n, true) // parent re-protect faults
-		epoch()                     // n pages
+		epoch()
 	}},
-	{"mprotect", func(p *guest.Process, epoch func()) {
+	{"mprotect", []int{256, 0, 128}, func(p *guest.Process, epoch func()) {
 		const n = 256
 		base := p.Mmap(n)
 		p.TouchRange(base, n, true)
-		epoch() // n pages
+		epoch()
 		if err := p.Mprotect(base, n, false); err != nil {
 			panic(err)
 		}
@@ -82,27 +89,40 @@ var dirtyWorkloads = []struct {
 			panic(err)
 		}
 		p.TouchRange(base, n/2, true)
-		epoch() // n/2 pages
+		epoch()
 	}},
-	{"munmap-refault", func(p *guest.Process, epoch func()) {
+	{"munmap-refault", []int{128, 128}, func(p *guest.Process, epoch func()) {
 		const n = 128
 		base := p.Mmap(n)
 		p.TouchRange(base, n, true)
-		epoch() // n pages
+		epoch()
 		if err := p.Munmap(base, n); err != nil {
 			panic(err)
 		}
 		base2 := p.Mmap(n)
 		p.TouchRange(base2, n, true)
 		p.TouchRange(base2, n, true) // second pass: TLB write hits, no re-marks
-		epoch()                      // n pages at the new area
+		epoch()                      // only the new area's pages
+	}},
+	{"read-then-write", []int{64}, func(p *guest.Process, epoch func()) {
+		// Demand-zero read faults install writable leaves. Only the
+		// insert gate (Guest.refill) keeps the read misses' TLB entries
+		// read-only, so the writes miss and are logged instead of
+		// hitting unlogged.
+		const n = 64
+		base := p.Mmap(n)
+		p.TouchRange(base, n, false)
+		p.TouchRange(base, n, true)
+		epoch()
 	}},
 }
 
 // runDirtyLog runs one workload with logging armed, collecting each epoch's
 // dirty set; when oracle is set (EPT lanes), each epoch is also harvested
-// from the guest table's hardware-maintained dirty bits. The dirty-log TLB
-// audit (auditDirty) runs at every boundary.
+// from the guest table's hardware-maintained dirty bits. The process audit,
+// with its dirty-log TLB check, runs at every boundary both before the
+// harvest, whose TLB flush would remove a writable entry the epoch missed,
+// and after it.
 func runDirtyLog(t *testing.T, cfg backend.Config, opt backend.Options,
 	body func(p *guest.Process, epoch func()), oracle bool) (sets, ref [][]arch.VA) {
 	t.Helper()
@@ -122,16 +142,20 @@ func runDirtyLog(t *testing.T, cfg backend.Config, opt backend.Options,
 			// Zero the A/D baseline: image/stack touches predate the arm.
 			p.GPT.ScanClearDirty(func(arch.VA) {})
 		}
+		audit := func() {
+			if err := g.AuditProcess(p); err != nil {
+				panic(err)
+			}
+		}
 		epoch := func() {
+			audit()
 			sets = append(sets, p.CollectDirty())
 			if oracle {
 				var o []arch.VA
 				p.GPT.ScanClearDirty(func(va arch.VA) { o = append(o, va) })
 				ref = append(ref, o)
 			}
-			if err := g.AuditProcess(p); err != nil {
-				panic(err)
-			}
+			audit()
 		}
 		body(p, epoch)
 		p.StopDirtyLog()
@@ -172,16 +196,22 @@ func pmlLane(cfg backend.Config) bool {
 
 // TestDirtyLogEquivalence is the full grid: every configuration × workload,
 // pinned against the kvm-ept (BM) reference sets and (on EPT lanes) the
-// per-page A/D harvest.
+// per-page A/D harvest; the reference sets are pinned against the
+// workload's known per-epoch counts.
 func TestDirtyLogEquivalence(t *testing.T) {
 	for _, wl := range dirtyWorkloads {
-		// Reference lane: kvm-ept (BM), with its own oracle check.
+		// Reference lane: kvm-ept (BM), with its known answer and its own
+		// oracle check.
 		refSets, refAD := runDirtyLog(t, backend.KVMEPTBM, backend.DefaultOptions(), wl.body, true)
+		got := make([]int, len(refSets))
+		for e, set := range refSets {
+			got[e] = len(set)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(wl.want) {
+			t.Fatalf("kvm-ept (BM)/%s: collected %v pages per epoch, want %v", wl.name, got, wl.want)
+		}
 		if d := vaSetsEqual(refSets, refAD); d != "" {
 			t.Errorf("kvm-ept (BM)/%s: PML lane vs A/D oracle: %s", wl.name, d)
-		}
-		if len(refSets) == 0 || len(refSets[0]) == 0 {
-			t.Fatalf("%s: vacuous reference: first epoch empty", wl.name)
 		}
 		for _, cfg := range backend.Configs() {
 			if cfg == backend.KVMEPTBM {

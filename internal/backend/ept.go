@@ -24,6 +24,7 @@ func newEPTMMU(g *Guest) *eptMMU { return &eptMMU{g: g} }
 func (m *eptMMU) register(p *guest.Process) {
 	p.PlatformData = &procData{
 		tlb:      tlb.New(m.g.Sys.Opt.TLBEntries),
+		missPT:   p.GPT,
 		pcidUser: arch.PCID(p.PID) % arch.MaxPCID,
 	}
 	// GPT updates do not trap: no OnWrite hook.
@@ -36,47 +37,6 @@ func (m *eptMMU) bind(*vclock.CPU) {}
 func (m *eptMMU) unregister(p *guest.Process) {
 	// Nothing to tear down: EPT backings are released page by page via
 	// releasePage as the kernel frees frames.
-}
-
-func (m *eptMMU) access(p *guest.Process, va arch.VA, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	if _, ok := d.tlb.Lookup(g.VPID, d.pcidUser, va, write); ok {
-		c.AdvanceLazy(1)
-		return
-	}
-	r := p.GPT.NewReader()
-	m.resolve(p, d, va, write, &r)
-}
-
-func (m *eptMMU) accessRange(p *guest.Process, va arch.VA, pages int, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	r := p.GPT.NewReader()
-	for i := 0; i < pages; {
-		cur := va + arch.VA(i)<<arch.PageShift
-		// Resolve the maximal run of TLB hits in one step: per-page
-		// probe semantics live inside LookupRange, and the n pages'
-		// unit costs are charged as a single lazy advance.
-		if n := d.tlb.LookupRange(g.VPID, d.pcidUser, cur, pages-i, write); n > 0 {
-			c.AdvanceLazy(int64(n))
-			i += n
-			if i == pages {
-				return
-			}
-			cur = va + arch.VA(i)<<arch.PageShift
-		}
-		// Run boundary: the probe for cur missed (accounted inside
-		// LookupRange); fall back to the per-page miss path.
-		m.resolve(p, d, cur, write, &r)
-		i++
-	}
 }
 
 // resolve handles one page whose TLB probe missed: guest walk (with
@@ -110,17 +70,7 @@ func (m *eptMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, 
 	// PML: the logging walk appends the dirtied page to the vCPU ring.
 	g.pmlRecord(c, d, va, write, false)
 
-	c.AdvanceLazy(prm.TLBRefill2D)
-	// While dirty logging is armed, a read miss must not cache write
-	// permission: a later TLB-hit write would dirty the page unlogged.
-	w := e.Flags.Has(pagetable.Writable)
-	if d.dirtyArmed() {
-		w = w && write
-	}
-	d.tlb.Insert(g.VPID, d.pcidUser, va, tlb.Entry{
-		PFN:   e.PFN,
-		Write: w,
-	})
+	g.refill(c, d, va, e, write, true)
 }
 
 func (m *eptMMU) dirtyStart(p *guest.Process) { m.g.pmlDirtyStart(p, false) }
@@ -132,7 +82,6 @@ func (m *eptMMU) dirtyCollect(p *guest.Process) []arch.VA {
 func (m *eptMMU) dirtyStop(p *guest.Process) { m.g.pmlDirtyStop(p, false) }
 
 func (m *eptMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
-	pd(p).tlb.FlushPage(m.g.VPID, pd(p).pcidUser, va)
 	m.g.vm.ReleaseBacking(p.CPU, gpa)
 }
 

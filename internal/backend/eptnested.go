@@ -99,6 +99,7 @@ func (m *eptNestedMMU) bind(c *vclock.CPU) { m.l1Lock.Own(c) }
 func (m *eptNestedMMU) register(p *guest.Process) {
 	p.PlatformData = &procData{
 		tlb:      tlb.New(m.g.Sys.Opt.TLBEntries),
+		missPT:   p.GPT,
 		pcidUser: arch.PCID(p.PID) % arch.MaxPCID,
 	}
 	// GPT2 updates are free: no hook (the whole point of EPT-on-EPT).
@@ -108,42 +109,6 @@ func (m *eptNestedMMU) unregister(p *guest.Process) {
 	// EPT12/EPT02 are per-guest (guest-physical) structures; per-process
 	// teardown releases nothing here. Frames are reported page by page
 	// via releasePage.
-}
-
-func (m *eptNestedMMU) access(p *guest.Process, va arch.VA, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	if _, ok := d.tlb.Lookup(g.VPID, d.pcidUser, va, write); ok {
-		c.AdvanceLazy(1)
-		return
-	}
-	r := p.GPT.NewReader()
-	m.resolve(p, d, va, write, &r)
-}
-
-func (m *eptNestedMMU) accessRange(p *guest.Process, va arch.VA, pages int, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	r := p.GPT.NewReader()
-	for i := 0; i < pages; {
-		cur := va + arch.VA(i)<<arch.PageShift
-		if n := d.tlb.LookupRange(g.VPID, d.pcidUser, cur, pages-i, write); n > 0 {
-			c.AdvanceLazy(int64(n))
-			i += n
-			if i == pages {
-				return
-			}
-			cur = va + arch.VA(i)<<arch.PageShift
-		}
-		m.resolve(p, d, cur, write, &r)
-		i++
-	}
 }
 
 // resolve handles one page whose TLB probe missed: guest walk (with
@@ -177,17 +142,7 @@ func (m *eptNestedMMU) resolve(p *guest.Process, d *procData, va arch.VA, write 
 	// full ring drains through a complete L2→L1 trip.
 	g.pmlRecord(c, d, va, write, true)
 
-	c.AdvanceLazy(prm.TLBRefill2D)
-	// While dirty logging is armed, a read miss must not cache write
-	// permission: a later TLB-hit write would dirty the page unlogged.
-	w := e.Flags.Has(pagetable.Writable)
-	if d.dirtyArmed() {
-		w = w && write
-	}
-	d.tlb.Insert(g.VPID, d.pcidUser, va, tlb.Entry{
-		PFN:   e.PFN,
-		Write: w,
-	})
+	g.refill(c, d, va, e, write, true)
 }
 
 func (m *eptNestedMMU) dirtyStart(p *guest.Process) { m.g.pmlDirtyStart(p, true) }
@@ -256,10 +211,7 @@ func (m *eptNestedMMU) ept02Violation(p *guest.Process, gpa arch.PFN) {
 func (m *eptNestedMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	g := m.g
 	c := p.CPU
-	d := pd(p)
 	prm := &g.Sys.Prm
-	d.tlb.FlushPage(g.VPID, d.pcidUser, va)
-
 	l1gpa, ok := m.backing.remove(gpa)
 	if !ok {
 		return

@@ -70,6 +70,7 @@ func (m *pvmMMU) register(p *guest.Process) {
 	d.shadow = core.NewShadowSpace(g.machineFrames(), m.sw)
 	d.sptUser = d.shadow.User
 	d.sptKernel = d.shadow.Kernel
+	d.missPT = d.shadow.User
 	p.PlatformData = d
 	p.GPT.OnWrite = func(ev pagetable.WriteEvent) { m.onGPTWrite(p, ev) }
 }
@@ -154,56 +155,9 @@ func (m *pvmMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 	m.enter(p, true)
 }
 
-func (m *pvmMMU) access(p *guest.Process, va arch.VA, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	if _, ok := d.tlb.Lookup(g.VPID, d.pcidUser, va, write); ok {
-		c.AdvanceLazy(1)
-		return
-	}
-	r := d.shadow.User.NewReader()
-	m.resolve(p, d, va, write, &r)
-}
-
-func (m *pvmMMU) accessRange(p *guest.Process, va arch.VA, pages int, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	r := d.shadow.User.NewReader()
-	for i := 0; i < pages; {
-		cur := va + arch.VA(i)<<arch.PageShift
-		// Resolve the maximal run of TLB hits in one step.
-		if n := d.tlb.LookupRange(g.VPID, d.pcidUser, cur, pages-i, write); n > 0 {
-			c.AdvanceLazy(int64(n))
-			i += n
-			if i == pages {
-				return
-			}
-			cur = va + arch.VA(i)<<arch.PageShift
-		}
-		m.resolve(p, d, cur, write, &r)
-		i++
-	}
-}
-
-// resolve handles one page whose TLB probe missed: shadow hit → refill,
-// otherwise the full PVM fault choreography.
-func (m *pvmMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, r *pagetable.Reader) {
-	m.g.dirtyRecordShadow(p.CPU, d, va, write)
-	if e, ok := r.Lookup(va); ok && (!write || e.Flags.Has(pagetable.Writable)) {
-		m.refill(p.CPU, d, va, e, write)
-		return
-	}
-	m.fault(p, d, va, write)
-}
-
-// fault runs the PVM fault choreography (Figure 9) for one page.
-func (m *pvmMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
+// resolve runs the PVM fault choreography (Figure 9) for a page with no
+// shadow leaf that permits the access.
+func (m *pvmMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, _ *pagetable.Reader) {
 	g := m.g
 	c := p.CPU
 	prm := &g.Sys.Prm
@@ -273,7 +227,7 @@ func (m *pvmMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
 	if !ok {
 		panic("backend/pvm: shadow entry missing after fix")
 	}
-	m.refill(c, d, va, e, write)
+	g.refill(c, d, va, e, write, m.nested)
 }
 
 // refault runs the second fault round taken when prefault is disabled: the
@@ -311,26 +265,6 @@ func (m *pvmMMU) syncReplay(p *guest.Process, d *procData) {
 				d.tlb.FlushPage(g.VPID, d.pcidUser, ev.VA)
 			}
 		}
-	})
-}
-
-// refill charges the hardware TLB refill and caches the translation. While
-// dirty logging is armed, a read miss must not cache write permission (see
-// sptMMU.refill).
-func (m *pvmMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entry, write bool) {
-	prm := &m.g.Sys.Prm
-	if m.nested {
-		c.AdvanceLazy(prm.TLBRefill2D) // SPT12 × EPT01
-	} else {
-		c.AdvanceLazy(prm.TLBRefill1D)
-	}
-	w := e.Flags.Has(pagetable.Writable)
-	if d.dirtyArmed() {
-		w = w && write
-	}
-	d.tlb.Insert(m.g.VPID, d.pcidUser, va, tlb.Entry{
-		PFN:   e.PFN,
-		Write: w,
 	})
 }
 
@@ -415,8 +349,6 @@ func (m *pvmMMU) fixSPT(p *guest.Process, d *procData, va arch.VA, prefault bool
 
 func (m *pvmMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	g := m.g
-	d := pd(p)
-	d.tlb.FlushPage(g.VPID, d.pcidUser, va)
 	t, ok := m.backing.remove(gpa)
 	if !ok {
 		return

@@ -66,6 +66,7 @@ func (m *pvmDirectMMU) register(p *guest.Process) {
 	mpt := newShadowPT(g.machineFrames())
 	m.sw.MapInto(mpt)
 	d.sptUser = mpt // reuse the slot: the validated machine table
+	d.missPT = mpt
 	d.sptMapper = mpt.NewMapper()
 	p.PlatformData = d
 	// No write protection: stores append to the shared mmu_update batch.
@@ -111,56 +112,9 @@ func (m *pvmDirectMMU) enter(p *guest.Process, toKernel bool) {
 	m.g.pvmEntry(p.CPU, p)
 }
 
-func (m *pvmDirectMMU) access(p *guest.Process, va arch.VA, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	if _, ok := d.tlb.Lookup(g.VPID, d.pcidUser, va, write); ok {
-		c.AdvanceLazy(1)
-		return
-	}
-	r := d.sptUser.NewReader()
-	m.resolve(p, d, va, write, &r)
-}
-
-func (m *pvmDirectMMU) accessRange(p *guest.Process, va arch.VA, pages int, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	r := d.sptUser.NewReader()
-	for i := 0; i < pages; {
-		cur := va + arch.VA(i)<<arch.PageShift
-		// Resolve the maximal run of TLB hits in one step.
-		if n := d.tlb.LookupRange(g.VPID, d.pcidUser, cur, pages-i, write); n > 0 {
-			c.AdvanceLazy(int64(n))
-			i += n
-			if i == pages {
-				return
-			}
-			cur = va + arch.VA(i)<<arch.PageShift
-		}
-		m.resolve(p, d, cur, write, &r)
-		i++
-	}
-}
-
-// resolve handles one page whose TLB probe missed: validated machine-table
-// hit → refill, otherwise the direct-paging fault path.
-func (m *pvmDirectMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, r *pagetable.Reader) {
-	m.g.dirtyRecordShadow(p.CPU, d, va, write)
-	if e, ok := r.Lookup(va); ok && (!write || e.Flags.Has(pagetable.Writable)) {
-		m.refill(p.CPU, d, va, e, write)
-		return
-	}
-	m.fault(p, d, va, write)
-}
-
-// fault runs the direct-paging fault choreography for one page.
-func (m *pvmDirectMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
+// resolve runs the direct-paging fault choreography for a page with no
+// validated machine leaf that permits the access.
+func (m *pvmDirectMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, _ *pagetable.Reader) {
 	g := m.g
 	c := p.CPU
 	prm := &g.Sys.Prm
@@ -198,7 +152,7 @@ func (m *pvmDirectMMU) fault(p *guest.Process, d *procData, va arch.VA, write bo
 	if !ok {
 		panic("backend/pvmdirect: mapping missing after validation")
 	}
-	m.refill(c, d, va, e, write)
+	g.refill(c, d, va, e, write, m.nested)
 }
 
 // applyBatch validates and applies the pending mmu_update entries under the
@@ -261,26 +215,6 @@ func (m *pvmDirectMMU) install(p *guest.Process, d *procData, va arch.VA, ge pag
 	}
 }
 
-// refill charges the hardware TLB refill and caches the translation. While
-// dirty logging is armed, a read miss must not cache write permission (see
-// sptMMU.refill).
-func (m *pvmDirectMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entry, write bool) {
-	prm := &m.g.Sys.Prm
-	if m.nested {
-		c.AdvanceLazy(prm.TLBRefill2D)
-	} else {
-		c.AdvanceLazy(prm.TLBRefill1D)
-	}
-	w := e.Flags.Has(pagetable.Writable)
-	if d.dirtyArmed() {
-		w = w && write
-	}
-	d.tlb.Insert(m.g.VPID, d.pcidUser, va, tlb.Entry{
-		PFN:   e.PFN,
-		Write: w,
-	})
-}
-
 // dirtyOps binds the write-protect dirty-log lane to the switcher legs, the
 // mmu_update batch replay, and the meta (or coarse) lock. The sweep runs on
 // the validated machine table; its match skips the switcher's global
@@ -317,8 +251,6 @@ func (m *pvmDirectMMU) dirtyStop(p *guest.Process) { m.g.shadowDirtyStop(p, m.di
 
 func (m *pvmDirectMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	g := m.g
-	d := pd(p)
-	d.tlb.FlushPage(g.VPID, d.pcidUser, va)
 	t, ok := m.backing.remove(gpa)
 	if !ok {
 		return

@@ -85,6 +85,7 @@ func (m *sptMMU) register(p *guest.Process) {
 		pcidUser: arch.PCID(p.PID) % arch.MaxPCID,
 	}
 	d.sptUser = newShadowPT(m.g.machineFrames())
+	d.missPT = d.sptUser
 	d.sptMapper = d.sptUser.NewMapper()
 	if m.g.Sys.Opt.KPTI {
 		d.sptKernel = newShadowPT(m.g.machineFrames())
@@ -143,58 +144,11 @@ func (m *sptMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 	m.entry(c, p)
 }
 
-func (m *sptMMU) access(p *guest.Process, va arch.VA, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	if _, ok := d.tlb.Lookup(g.VPID, d.pcidUser, va, write); ok {
-		c.AdvanceLazy(1)
-		return
-	}
-	r := d.sptUser.NewReader()
-	m.resolve(p, d, va, write, &r)
-}
-
-func (m *sptMMU) accessRange(p *guest.Process, va arch.VA, pages int, write bool) {
-	g := m.g
-	c := p.CPU
-	d := pd(p)
-	va = va.PageDown()
-
-	r := d.sptUser.NewReader()
-	for i := 0; i < pages; {
-		cur := va + arch.VA(i)<<arch.PageShift
-		// Resolve the maximal run of TLB hits in one step.
-		if n := d.tlb.LookupRange(g.VPID, d.pcidUser, cur, pages-i, write); n > 0 {
-			c.AdvanceLazy(int64(n))
-			i += n
-			if i == pages {
-				return
-			}
-			cur = va + arch.VA(i)<<arch.PageShift
-		}
-		m.resolve(p, d, cur, write, &r)
-		i++
-	}
-}
-
-// resolve handles one page whose TLB probe missed: shadow hit → refill,
-// otherwise the full shadow-fault trap.
-func (m *sptMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, r *pagetable.Reader) {
-	m.g.dirtyRecordShadow(p.CPU, d, va, write)
-	if e, ok := r.Lookup(va); ok && (!write || e.Flags.Has(pagetable.Writable)) {
-		m.refill(p.CPU, d, va, e, write)
-		return
-	}
-	m.fault(p, d, va, write)
-}
-
-// fault runs the shadow-fault choreography: trap to the shadowing
-// hypervisor, classify against the guest table, optionally deliver a guest
-// fault, fix the shadow leaf, and refill the TLB.
-func (m *sptMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
+// resolve runs the shadow-fault choreography for a page with no shadow leaf
+// that permits the access: trap to the shadowing hypervisor, classify
+// against the guest table, optionally deliver a guest fault, fix the shadow
+// leaf, and refill the TLB.
+func (m *sptMMU) resolve(p *guest.Process, d *procData, va arch.VA, write bool, _ *pagetable.Reader) {
 	g := m.g
 	c := p.CPU
 	prm := &g.Sys.Prm
@@ -223,28 +177,7 @@ func (m *sptMMU) fault(p *guest.Process, d *procData, va arch.VA, write bool) {
 	if !ok {
 		panic("backend/spt: shadow entry missing after fix")
 	}
-	m.refill(c, d, va, e, write)
-}
-
-// refill charges the hardware TLB refill and caches the translation. While
-// dirty logging is armed, a read miss must not cache write permission: the
-// shadow leaf may be writable (e.g. freshly demand-zero fixed), and a later
-// write hitting the TLB would dirty the page unrecorded.
-func (m *sptMMU) refill(c *vclock.CPU, d *procData, va arch.VA, e pagetable.Entry, write bool) {
-	prm := &m.g.Sys.Prm
-	if m.nested {
-		c.AdvanceLazy(prm.TLBRefill2D) // SPT12 × EPT01 two-dimensional walk
-	} else {
-		c.AdvanceLazy(prm.TLBRefill1D)
-	}
-	w := e.Flags.Has(pagetable.Writable)
-	if d.dirtyArmed() {
-		w = w && write
-	}
-	d.tlb.Insert(m.g.VPID, d.pcidUser, va, tlb.Entry{
-		PFN:   e.PFN,
-		Write: w,
-	})
+	g.refill(c, d, va, e, write, m.nested)
 }
 
 // fixSPT builds the shadow leaf for va under the mmu_lock: resolve the
@@ -286,8 +219,6 @@ func (m *sptMMU) fixSPT(p *guest.Process, d *procData, va arch.VA) {
 
 func (m *sptMMU) releasePage(p *guest.Process, va arch.VA, gpa arch.PFN) {
 	g := m.g
-	d := pd(p)
-	d.tlb.FlushPage(g.VPID, d.pcidUser, va)
 	t, ok := m.backing.remove(gpa)
 	if !ok {
 		return

@@ -64,21 +64,6 @@ func (m *Mapper) Map(va arch.VA, pfn arch.PFN, flags Flags) (writes int, err err
 	return writes, err
 }
 
-// MapRange installs pfns[i] at va + i·PageSize with the given flags — a run
-// of consecutive Map calls sharing one walk per 2 MiB span. It returns the
-// total number of PTE stores performed. The WriteEvent sequence, per-level
-// stats, and allocator calls are exactly those of len(pfns) scalar Maps.
-func (m *Mapper) MapRange(va arch.VA, pfns []arch.PFN, flags Flags) (writes int, err error) {
-	for i, pfn := range pfns {
-		w, merr := m.Map(va+arch.VA(i)*arch.PageSize, pfn, flags)
-		writes += w
-		if merr != nil {
-			return writes, merr
-		}
-	}
-	return writes, nil
-}
-
 // Protect is PageTable.Protect through the span cache: it replaces the leaf
 // flags for va (keeping the PFN), reporting whether the mapping existed.
 func (m *Mapper) Protect(va arch.VA, flags Flags) bool {

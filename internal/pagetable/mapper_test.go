@@ -18,13 +18,13 @@ type recordedWrite struct {
 }
 
 // TestMapperMatchesDirect drives two identical page tables through a
-// randomized schedule of maps, map-ranges, protects, unmaps, and lookups —
+// randomized schedule of maps, runs of maps, protects, unmaps, and lookups —
 // one mutated through a long-lived Mapper, the other directly — and
 // requires the OnWrite event streams, stats, allocator call counts, and
-// final structure to be bit-identical. This pins the MapRange
-// event-equivalence contract: bulk population must be indistinguishable
-// from N scalar Maps to every observer (SPT write-protect traps, PVM sync
-// costs, table allocation).
+// final structure to be bit-identical. This pins the Mapper's
+// event-equivalence contract: a run of cached-span Maps must be
+// indistinguishable from N direct Maps to every observer (SPT write-protect
+// traps, PVM sync costs, table allocation).
 func TestMapperMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var evA, evB []recordedWrite
@@ -65,26 +65,27 @@ func TestMapperMatchesDirect(t *testing.T) {
 			if wa != wb || (ea == nil) != (eb == nil) {
 				t.Fatalf("step %d: Map diverged: (%d,%v) vs (%d,%v)", step, wa, ea, wb, eb)
 			}
-		case op < 5: // bulk map-range vs N scalar maps
+		case op < 5: // a run of maps through the mapper vs direct
 			n := 1 + rng.Intn(48)
 			f := flags()
 			pfns := make([]arch.PFN, n)
 			for i := range pfns {
 				pfns[i] = arch.PFN(rng.Intn(1 << 16))
 			}
-			wa, ea := m.MapRange(va, pfns, f)
-			wb := 0
-			var eb error
-			for i, pfn := range pfns {
-				w, err := b.Map(va+arch.VA(i)*arch.PageSize, pfn, f)
-				wb += w
-				if err != nil {
-					eb = err
-					break
+			mapRun := func(mapOne func(arch.VA, arch.PFN, Flags) (int, error)) (writes int, err error) {
+				for i, pfn := range pfns {
+					w, err := mapOne(va+arch.VA(i)*arch.PageSize, pfn, f)
+					writes += w
+					if err != nil {
+						return writes, err
+					}
 				}
+				return writes, nil
 			}
+			wa, ea := mapRun(m.Map)
+			wb, eb := mapRun(b.Map)
 			if wa != wb || (ea == nil) != (eb == nil) {
-				t.Fatalf("step %d: MapRange diverged: (%d,%v) vs (%d,%v)", step, wa, ea, wb, eb)
+				t.Fatalf("step %d: map run diverged: (%d,%v) vs (%d,%v)", step, wa, ea, wb, eb)
 			}
 		case op < 6: // protect through the mapper vs direct
 			f := flags()
@@ -132,9 +133,9 @@ func TestMapperMatchesDirect(t *testing.T) {
 }
 
 // TestMapperAllocParity pins the allocator-call contract: populating a
-// fresh span through MapRange performs exactly the same table allocations
-// as scalar Maps (one per missing level), and cached-span installs perform
-// none.
+// fresh span through a run of Mapper.Maps performs exactly the same table
+// allocations as direct Maps (one per missing level), and cached-span
+// installs perform none.
 func TestMapperAllocParity(t *testing.T) {
 	allocA := mem.NewAllocator("bulk", 0, 0)
 	allocB := mem.NewAllocator("scalar", 0, 0)
@@ -149,29 +150,26 @@ func TestMapperAllocParity(t *testing.T) {
 	m := a.NewMapper()
 
 	const pages = 1024 // spans two leaf tables
-	pfns := make([]arch.PFN, pages)
-	for i := range pfns {
-		pfns[i] = arch.PFN(1000 + i)
-	}
-	wa, err := m.MapRange(0x400000, pfns, User|Writable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb := 0
-	for i, pfn := range pfns {
-		w, err := b.Map(0x400000+arch.VA(i)*arch.PageSize, pfn, User|Writable)
-		if err != nil {
-			t.Fatal(err)
+	mapAll := func(mapOne func(arch.VA, arch.PFN, Flags) (int, error)) int {
+		writes := 0
+		for i := 0; i < pages; i++ {
+			w, err := mapOne(0x400000+arch.VA(i)*arch.PageSize, arch.PFN(1000+i), User|Writable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes += w
 		}
-		wb += w
+		return writes
 	}
+	wa := mapAll(m.Map)
+	wb := mapAll(b.Map)
 	if wa != wb {
-		t.Fatalf("PTE writes: bulk %d vs scalar %d", wa, wb)
+		t.Fatalf("PTE writes: mapper %d vs direct %d", wa, wb)
 	}
 	if sa, sb := a.Stats(), b.Stats(); sa != sb {
-		t.Fatalf("stats: bulk %+v vs scalar %+v", sa, sb)
+		t.Fatalf("stats: mapper %+v vs direct %+v", sa, sb)
 	}
 	if sa, sb := allocA.Stats(), allocB.Stats(); sa.Allocs != sb.Allocs {
-		t.Fatalf("allocator calls: bulk %d vs scalar %d", sa.Allocs, sb.Allocs)
+		t.Fatalf("allocator calls: mapper %d vs direct %d", sa.Allocs, sb.Allocs)
 	}
 }
