@@ -79,30 +79,48 @@ func runHeapStress(seed int64, cores int) []stressEvent {
 	}
 	var logMu sync.Mutex
 	var log []stressEvent
-	// Admit every vCPU before any runs, so the schedule cannot depend on
-	// how far an early vCPU gets before a later one joins the heap.
-	release := e.Hold()
-	for i := 0; i < stressCPUs; i++ {
-		id := i
-		e.Go(0, func(c *CPU) {
-			ops := stressOps{
-				advance: c.Advance,
-				compute: c.Compute,
-				lazy:    c.AdvanceLazy,
-				acquire: func(li int) { locks[li].Acquire(c) },
-				release: func(li int) { locks[li].Release(c) },
-				gate:    c.Sync,
-				now:     c.Now,
-			}
-			stressBody(id, seed, ops, func(ev stressEvent) {
-				logMu.Lock()
-				log = append(log, ev)
-				logMu.Unlock()
-			})
+	body := func(c *CPU) {
+		ops := stressOps{
+			advance: c.Advance,
+			compute: c.Compute,
+			lazy:    c.AdvanceLazy,
+			acquire: func(li int) { locks[li].Acquire(c) },
+			release: func(li int) { locks[li].Release(c) },
+			gate:    c.Sync,
+			now:     c.Now,
+		}
+		stressBody(c.ID(), seed, ops, func(ev stressEvent) {
+			logMu.Lock()
+			log = append(log, ev)
+			logMu.Unlock()
 		})
 	}
+	// Even-numbered vCPUs are coroutines launched by Go; odd-numbered ones
+	// are made by NewCPU and run on goroutines of their own, so locks and
+	// gates hand off across both ways of waiting. Admit every vCPU before
+	// any runs, so the schedule cannot depend on how far an early vCPU gets
+	// before a later one joins the heap.
+	release := e.Hold()
+	start := make(chan struct{})
+	var own sync.WaitGroup
+	for i := 0; i < stressCPUs; i++ {
+		if i%2 == 0 {
+			e.Go(0, body)
+			continue
+		}
+		c := e.NewCPU(0)
+		own.Add(1)
+		go func() {
+			defer own.Done()
+			defer c.Done()
+			<-start
+			body(c)
+		}()
+	}
 	release()
+	close(start)
 	e.Wait()
+	own.Wait()
 	return log
 }
 

@@ -1,13 +1,20 @@
 // Package vclock implements a deterministic discrete-virtual-time execution
 // engine for the PVM simulator.
 //
-// Workload code runs on ordinary goroutines, one per simulated vCPU, and
-// advances a per-vCPU virtual clock (int64 nanoseconds) as it charges costs.
-// The engine enforces a conservative ordering discipline: a vCPU may only
-// perform an operation when its clock is the global minimum among runnable
-// vCPUs (ties broken by vCPU id). Together with explicit virtual locks this
-// makes every simulation deterministic regardless of how the Go scheduler
-// interleaves the goroutines.
+// Workload code runs one flow of control per simulated vCPU and advances a
+// per-vCPU virtual clock (int64 nanoseconds) as it charges costs. The engine
+// enforces a conservative ordering discipline: a vCPU may only perform an
+// operation when its clock is the global minimum among runnable vCPUs (ties
+// broken by vCPU id). Together with explicit virtual locks this makes every
+// simulation deterministic regardless of how the host interleaves the vCPUs.
+//
+// A vCPU launched with Engine.Go is a coroutine. One dispatcher goroutine
+// per engine resumes its coroutines one at a time from a FIFO ready queue: a
+// vCPU that must wait yields to the dispatcher, and a wakeup queues it, so a
+// handoff between two of them is a pair of direct coroutine switches with no
+// scheduler wake. A vCPU made by NewCPU is driven by the caller's own
+// goroutine, which parks on a channel instead. Both kinds mix freely in one
+// engine; how a vCPU waits never changes what the engine decides.
 //
 // Virtual locks model serialization (e.g. KVM's global mmu_lock versus PVM's
 // fine-grained shadow-page-table locks). Acquiring a contended lock advances
@@ -19,7 +26,7 @@
 // admitting a vCPU, advancing a clock, and acquiring a lock all cost
 // O(log #vCPUs); the minimum is found in O(1). Wakeups are targeted: every
 // state change signals only the vCPU that now holds the minimum clock, so
-// each operation wakes at most one goroutine. The heap's key order is the
+// each operation wakes at most one vCPU. The heap's key order is the
 // same (now, id) tie-break a linear min-scan would use, so schedules are
 // bit-identical to a reference O(n) implementation of the same discipline
 // (asserted by TestHeapMatchesLinearReference).
@@ -85,9 +92,23 @@ type Engine struct {
 	// it to pin the bypass against the fully gated engine.
 	soloOff bool
 
-	// hold, when non-nil, is the armed starting barrier (see Hold): vCPU
-	// goroutines launched by Go park on it before running their workload.
+	// hold, when non-nil, is the armed starting barrier (see Hold): the
+	// dispatcher resumes no coroutine until it is released.
 	hold chan struct{}
+
+	// ready is the dispatcher's FIFO of Go-launched vCPUs to resume: each
+	// one once at launch, then once per wakeup while it is parked. Entries
+	// before readyHead are taken; the backing array is reused in place.
+	ready     []*CPU
+	readyHead int
+
+	// live counts the Go-launched vCPUs whose coroutine has not finished.
+	// dispatching is set while the dispatcher goroutine runs; it exits when
+	// live reaches 0 with nothing ready. The dispatcher waits on turn, with
+	// e.mu, while Hold is armed or every live vCPU is parked.
+	live        int
+	dispatching bool
+	turn        sync.Cond
 
 	// eager disables fused cost charging (SetEagerCharges): AdvanceLazy
 	// becomes an immediate Advance. Schedules are bit-identical either
@@ -113,7 +134,9 @@ type Engine struct {
 
 // NewEngine returns an engine with unlimited simulated cores.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.turn.L = &e.mu
+	return e
 }
 
 // SetCores bounds simulated hardware parallelism; see Engine.cores.
@@ -275,7 +298,9 @@ func (e *Engine) Audit() error {
 }
 
 // CPU is one simulated virtual CPU (or guest process context). All methods
-// must be called from the single goroutine driving this CPU.
+// must be called from the flow of control driving this CPU: its coroutine
+// for a vCPU launched by Engine.Go, the caller's goroutine for one made by
+// NewCPU.
 type CPU struct {
 	id  int
 	e   *Engine
@@ -285,8 +310,14 @@ type CPU struct {
 	// hi is the index in Engine.heap, or -1 while not running.
 	hi int
 
+	// waiting is set while the vCPU is parked and no wakeup has reached it
+	// yet. A vCPU made by NewCPU parks its goroutine on wake. A Go-launched
+	// one yields to the dispatcher instead; resume switches its coroutine
+	// back in, and the wakeup that queues it clears waiting.
 	waiting bool
 	wake    chan struct{}
+	resume  func() (struct{}, bool)
+	yield   func(struct{}) bool
 
 	// pendingLock, when non-nil, is a declared intent to acquire that lock
 	// as soon as this (parked) vCPU reaches the head of the heap. The vCPU
@@ -451,18 +482,27 @@ func (e *Engine) siftDown(i int) {
 
 // NewCPU registers a new vCPU starting at virtual time start.
 //
-// When called from a running vCPU's goroutine (e.g. to model fork), pass the
+// When called from a running vCPU (e.g. to model fork), pass the
 // parent's current time; the engine guarantees the parent holds the global
 // minimum clock at that moment, so the child joins consistently.
+//
+// The caller's goroutine drives the vCPU and parks on a channel while it
+// waits; call Done when it finishes.
 func (e *Engine) NewCPU(start int64) *CPU {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.admitLocked(&CPU{wake: make(chan struct{}, 1)}, start)
+}
+
+// admitLocked registers c as a runnable vCPU at time start. Caller holds
+// e.mu.
+func (e *Engine) admitLocked(c *CPU, start int64) *CPU {
 	// Revoke any solo grant before the new vCPU becomes visible: the
 	// handshake guarantees no fast-path operation is in flight by the time
 	// the heap grows, so the previously-solo vCPU's next operation gates
 	// against the newcomer.
 	e.exitSoloLocked()
-	c := &CPU{id: len(e.cpus), e: e, now: start, st: running, hi: -1, mark: -1, wake: make(chan struct{}, 1)}
+	c.id, c.e, c.now, c.st, c.hi, c.mark = len(e.cpus), e, start, running, -1, -1
 	e.cpus = append(e.cpus, c)
 	e.heapPush(c)
 	e.processRootLocked()
@@ -470,20 +510,24 @@ func (e *Engine) NewCPU(start int64) *CPU {
 	return c
 }
 
-// Go launches fn on its own goroutine driving a fresh vCPU that starts at
-// virtual time start. The vCPU is marked done when fn returns.
+// Go launches fn as a coroutine driving a fresh vCPU that starts at virtual
+// time start. The vCPU is marked done when fn returns.
+//
+// The engine's dispatcher goroutine runs its Go-launched vCPUs one at a
+// time: fn runs only while no other of them does, and whenever fn waits on
+// the engine, the dispatcher switches to the next ready one. fn may still
+// block outside the engine (on a channel, say) as long as no other
+// Go-launched vCPU of the same engine must run to unblock it: while it
+// blocks, none of them can.
 //
 // A panic in fn does not crash the process: the engine records the panic as
 // an error (see Err), aborts the run, and unwinds every other vCPU so Wait
-// still returns instead of deadlocking on the min-clock gate.
+// still returns instead of deadlocking on the min-clock gate. A
+// runtime.Goexit in fn (t.FailNow, say) ends fn's vCPU as a return would.
 func (e *Engine) Go(start int64, fn func(c *CPU)) *CPU {
-	c := e.NewCPU(start)
-	e.mu.Lock()
-	hold := e.hold
-	e.mu.Unlock()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
+	c := &CPU{}
+	c.resume = coroutine(func(yield func(struct{}) bool) {
+		c.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, drain := r.(engineAbort); !drain {
@@ -491,21 +535,79 @@ func (e *Engine) Go(start int64, fn func(c *CPU)) *CPU {
 				}
 			}
 			c.Done()
+			e.mu.Lock()
+			e.live--
+			e.mu.Unlock()
+			e.wg.Done()
 		}()
-		if hold != nil {
-			<-hold
-		}
 		fn(c)
-	}()
+	})
+	e.wg.Add(1)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.admitLocked(c, start)
+	e.live++
+	e.readyLocked(c)
+	if !e.dispatching {
+		e.dispatching = true
+		go e.dispatch()
+	}
 	return c
 }
 
-// Hold arms a starting barrier: vCPU goroutines launched by Go are admitted
-// to the runnable heap immediately (so the min-clock gate orders everyone
-// against them) but do not begin executing until the returned release
-// function is called. Launching a batch of workers under Hold makes the
-// schedule independent of how far an early worker's goroutine happens to get
-// in real time before a later worker is registered.
+// dispatch resumes ready coroutines in FIFO order, one at a time, until no
+// Go-launched vCPU is live. It pauses while Hold is armed.
+func (e *Engine) dispatch() {
+	exited := false
+	defer func() {
+		if !exited {
+			// A coroutine ended in runtime.Goexit, which resume re-raised
+			// here. Its vCPU is done; carry on dispatching the others.
+			go e.dispatch()
+		}
+	}()
+	e.mu.Lock()
+	for {
+		for e.hold != nil || e.readyHead == len(e.ready) && e.live > 0 {
+			e.turn.Wait()
+		}
+		if e.readyHead == len(e.ready) {
+			e.dispatching = false
+			e.mu.Unlock()
+			exited = true
+			return
+		}
+		c := e.ready[e.readyHead]
+		e.ready[e.readyHead] = nil
+		e.readyHead++
+		e.mu.Unlock()
+		c.resume()
+		e.mu.Lock()
+	}
+}
+
+// readyLocked queues Go-launched vCPU c for the dispatcher. Caller holds
+// e.mu.
+func (e *Engine) readyLocked(c *CPU) {
+	if e.readyHead == len(e.ready) {
+		e.ready, e.readyHead = e.ready[:0], 0
+	} else if e.readyHead > 0 && len(e.ready) == cap(e.ready) {
+		n := copy(e.ready, e.ready[e.readyHead:])
+		clear(e.ready[n:])
+		e.ready, e.readyHead = e.ready[:n], 0
+	}
+	e.ready = append(e.ready, c)
+	e.turn.Signal()
+}
+
+// Hold arms a starting barrier: vCPUs launched by Go are admitted to the
+// runnable heap immediately (so the min-clock gate orders everyone against
+// them), but the dispatcher resumes none of the engine's Go-launched vCPUs
+// until the returned release function is called. Launching a batch of
+// workers under Hold makes the schedule independent of how far an early
+// worker gets in real time before a later worker is registered. A
+// Go-launched vCPU that arms Hold must release it before it next waits on
+// the engine.
 func (e *Engine) Hold() (release func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -517,6 +619,7 @@ func (e *Engine) Hold() (release func()) {
 		e.mu.Lock()
 		if e.hold == ch {
 			e.hold = nil
+			e.turn.Signal()
 		}
 		e.mu.Unlock()
 		close(ch)
@@ -535,8 +638,8 @@ func (e *Engine) Err() error {
 	return e.err
 }
 
-// engineAbort is the panic value used to unwind vCPU goroutines after a
-// workload panic aborted the run.
+// engineAbort is the panic value used to unwind vCPUs after a workload
+// panic aborted the run.
 type engineAbort struct{ err error }
 
 // abort records the first failure, then wakes every parked vCPU so each
@@ -557,12 +660,7 @@ func (e *Engine) abortLocked(err error) {
 		e.err = err
 	}
 	for _, c := range e.cpus {
-		if c.waiting {
-			select {
-			case c.wake <- struct{}{}:
-			default:
-			}
-		}
+		e.wakeLocked(c)
 	}
 }
 
@@ -590,10 +688,16 @@ func (e *Engine) Makespan() int64 {
 	return m
 }
 
-// wakeLocked delivers a (buffered, lossy) wakeup token to c. Caller holds
-// e.mu.
+// wakeLocked wakes c if it is parked: a Go-launched vCPU is queued for the
+// dispatcher once, a NewCPU vCPU gets a (buffered, lossy) token. Caller
+// holds e.mu.
 func (e *Engine) wakeLocked(c *CPU) {
-	if c.waiting {
+	switch {
+	case !c.waiting:
+	case c.yield != nil:
+		c.waiting = false
+		e.readyLocked(c)
+	default:
 		select {
 		case c.wake <- struct{}{}:
 		default:
@@ -670,12 +774,17 @@ func (e *Engine) sleepLocked(c *CPU) {
 }
 
 // parkLocked parks c until signalled, without sleepLocked's abort check:
-// Done also drains aborted runs and must not panic. Caller holds e.mu; the
-// lock is held again on return.
+// Done also drains aborted runs and must not panic. A Go-launched vCPU
+// yields to the dispatcher, which resumes it once a wakeup has queued it.
+// Caller holds e.mu; the lock is held again on return.
 func (e *Engine) parkLocked(c *CPU) {
 	c.waiting = true
 	e.mu.Unlock()
-	<-c.wake
+	if c.yield != nil {
+		c.yield(struct{}{})
+	} else {
+		<-c.wake
+	}
 	e.mu.Lock()
 	c.waiting = false
 }
